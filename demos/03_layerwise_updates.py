@@ -5,15 +5,16 @@ Run:  python demos/03_layerwise_updates.py
 Gradient magnitudes differ strongly across the layers of a network, so a
 single concatenated inner product is dominated by whichever layer is
 loudest.  Solving per layer lets every layer take its own branch.  The
-demo measures the per-layer gradient norms of a real model, runs both
-modes, and compares their predicted replay-loss changes.
+demo measures the per-layer gradient norms of a real model, runs the
+same update rule on the whole vector and per layer, and compares their
+predicted replay-loss changes.
 """
 
 import numpy as np
 
 from gradecomp import MlpModel, decompose, layerwise_solve, predicted_loss_change
 from gradecomp.model import Batch
-from gradecomp.solver import MODE_CONCATENATED, MODE_LAYERWISE, SolverConfig
+from gradecomp.solver import decomposed_update
 
 rng = np.random.default_rng(21)
 
@@ -33,16 +34,17 @@ for seg, sl in zip(model.layout.segments, model.layout.slices()):
     print(f"  {seg.name:>8}: |g| = {np.linalg.norm(g[sl]):.4f} "
           f"({seg.length} parameters)")
 
-result = layerwise_solve(bundle, model.layout, SolverConfig())
+result = layerwise_solve(bundle, model.layout, decomposed_update)
 print("\nper-layer solves:")
 for name, res in result.per_layer:
     print(f"  {name:>8}: branch = {res.branch:<19} "
           f"alignment = {res.shared_alignment:+.5f}")
 
-for mode in (MODE_CONCATENATED, MODE_LAYERWISE):
-    report = predicted_loss_change(bundle, result.w, model.layout, mode)
+solves = {"whole-vector": decomposed_update(bundle), "per-layer": result}
+for label, res in solves.items():
+    report = predicted_loss_change(bundle, res)
     contributing = sum(e.contributes for e in report.per_layer)
-    print(f"\n{mode} prediction: {report.predicted_delta:+.5f} per unit step "
+    print(f"\n{label} prediction: {report.predicted_delta:+.5f} per unit step "
           f"({contributing}/{len(report.per_layer)} segments contribute)")
     for entry in report.per_layer:
         flag = "+" if entry.contributes else " "

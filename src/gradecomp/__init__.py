@@ -12,7 +12,7 @@ from .layerwise import (
     predicted_loss_change,
     split_by_layer,
 )
-from .linalg import apply_projection, gram_pca, jacobi_eigh, modified_gram_schmidt
+from .linalg import apply_projection, gram_pca, modified_gram_schmidt
 from .memory import (
     Coreset,
     EpisodicMemory,
@@ -64,7 +64,6 @@ __all__ = [
     "split_by_layer",
     "apply_projection",
     "gram_pca",
-    "jacobi_eigh",
     "modified_gram_schmidt",
     "Coreset",
     "EpisodicMemory",

@@ -7,9 +7,9 @@ Verbs:
 * ``verify``   -- run the property suites and report pass/fail
 * ``report``   -- re-render summary tables from stored matrices
 
-The config is one JSON file; any key can be overridden on the command
-line as ``key.path=value`` (values are parsed as JSON, falling back to
-plain strings).  Overrides always win.  Key tree with defaults:
+The config is one optional JSON file; any key can be overridden on the
+command line as ``key.path=value`` (values are parsed as JSON, falling
+back to plain strings).  Overrides always win.  Key tree with defaults:
 
     seed: 0                 run seed; data and training derive from it
     seeds: null             optional seed list used by sweep-k
@@ -405,8 +405,17 @@ def run_one_variant(
     return summary
 
 
+def _load_args_config(args) -> dict:
+    """Load the config named by ``args``; a first positional that looks
+    like ``key=value`` and names no file is the first override."""
+    path, overrides = args.config, args.overrides
+    if path is not None and "=" in path and not Path(path).is_file():
+        path, overrides = None, [path, *overrides]
+    return load_config(path, overrides)
+
+
 def cmd_run(args) -> int:
-    config = load_config(args.config, args.overrides)
+    config = _load_args_config(args)
     out_root = Path(config["out_dir"])
     print(f"run: {len(config['variants'])} variant(s), seed {config['seed']}")
     for name in config["variants"]:
@@ -421,7 +430,7 @@ def cmd_run(args) -> int:
 
 
 def cmd_sweep_k(args) -> int:
-    config = load_config(args.config, args.overrides)
+    config = _load_args_config(args)
     sweep = config["sweep"]
     variant_name = sweep["variant"].lower()
     if variant_name not in PCA_VARIANTS:
@@ -434,7 +443,9 @@ def cmd_sweep_k(args) -> int:
     T = config["data"]["tasks"]
     if T < 2:
         raise ConfigError("data.tasks", "sweep needs at least two tasks")
-    max_rank = max(1, T - 2)
+    # m memories give a specific matrix of rank at most m - 1
+    n_memories = config["train"]["replay_split_n"] or T - 1
+    max_rank = max(1, n_memories - 1)
 
     effective: list[int] = []
     for k in k_values:

@@ -1,28 +1,24 @@
-"""Per-layer dispatch of the constrained update.
+"""Per-layer dispatch of an update rule.
 
-A flat parameter vector is segmented by a :class:`ParamLayout`; the
-decomposition and solve then run independently on each segment, so every
-layer decides its own projection branch instead of being dominated by
-whichever layer carries the largest gradient magnitudes.
+A flat parameter vector is segmented by a :class:`ParamLayout`;
+:func:`layerwise_solve` applies one update rule to every segment's slice
+of a gradient bundle, so every layer decides its own branch instead of
+being dominated by whichever layer carries the largest gradient
+magnitudes.  Every rule in per-layer mode goes through it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import NamedTuple
+from typing import Callable, NamedTuple
 
 import numpy as np
 
-from . import linalg, solver
 from .decomp import GradientBundle
-from .solver import (
-    MODE_CONCATENATED,
-    MODE_LAYERWISE,
-    PROJECT_AND_REFLECT,
-    PROJECT_ONLY,
-    SolverConfig,
-    UpdateResult,
-)
+from .solver import PROJECT_AND_REFLECT, PROJECT_ONLY, UpdateResult
+
+#: an update rule: one bundle (or one segment's slice of it) to its update
+Rule = Callable[[GradientBundle], UpdateResult]
 
 
 class Segment(NamedTuple):
@@ -80,19 +76,17 @@ class LossChangeReport:
 
     ``predicted_delta`` is the loss change divided by the learning rate:
     multiply by eta to get the predicted change after stepping by
-    ``-eta * w``.  In concatenated mode the per-layer entries split the
-    single global alignment across segments (they sum to it) and all
-    share the global branch flag; in layerwise mode each entry is that
-    layer's own alignment under its own projection and only non-negative
-    entries contribute.  ``realized_delta`` is ``-shared' w`` for the
-    update actually supplied, which coincides with ``predicted_delta``
-    when ``w`` came from the matching unrelaxed solve.
+    ``-eta * w``.  There is one entry per solved segment (a single
+    ``"all"`` entry for a whole-vector solve) holding that segment's own
+    alignment under its own projection; only non-negative entries
+    contribute.  ``realized_delta`` is ``-shared' w`` for the update
+    actually returned, which coincides with ``predicted_delta`` when the
+    basis was not relaxed.
     """
 
     per_layer: tuple[LayerAlignment, ...]
     predicted_delta: float
     realized_delta: float
-    mode: str
 
 
 def split_by_layer(v: np.ndarray, layout: ParamLayout) -> list[np.ndarray]:
@@ -106,14 +100,15 @@ def split_by_layer(v: np.ndarray, layout: ParamLayout) -> list[np.ndarray]:
 
 
 def layerwise_solve(
-    bundle: GradientBundle, layout: ParamLayout, cfg: SolverConfig
+    bundle: GradientBundle, layout: ParamLayout, rule: Rule
 ) -> UpdateResult:
-    """Run the constrained solve independently on every layout segment.
+    """Apply ``rule`` independently to every layout segment of ``bundle``.
 
-    The bundle is decomposed once; each segment solve uses the row slices
-    of the shared and specific components restricted to that segment (the
+    Each segment sees the row slices of the new-task, shared, specific
+    (when present) and old-task gradients restricted to that segment (the
     mean and the subtraction commute with slicing).  The per-segment
-    updates are concatenated in layout order.
+    updates are concatenated in layout order; the alignment is summed and
+    the branch is ``project_only`` only if every segment projected.
     """
     if bundle.shared is None:
         raise ValueError("bundle has no old-task gradients to constrain against")
@@ -121,18 +116,21 @@ def layerwise_solve(
         raise ValueError(
             f"bundle dimension {bundle.dim} does not match layout total {layout.total}"
         )
-    g = bundle.new_grad
-    g_bar = bundle.shared
-    G = bundle.specific
-
+    specific = bundle.specific
     w = np.empty(layout.total)
     per_layer: list[tuple[str, UpdateResult]] = []
     total_alignment = 0.0
     all_project = True
     any_degenerate = False
     for seg, sl in zip(layout.segments, layout.slices()):
-        B_seg = solver.relax_basis(G[sl, :], cfg)
-        res = solver.solve_update(g[sl], g_bar[sl], B_seg)
+        res = rule(
+            GradientBundle(
+                new_grad=bundle.new_grad[sl],
+                old_grads=[gi[sl] for gi in bundle.old_grads],
+                shared=bundle.shared[sl],
+                specific=None if specific is None else specific[sl, :],
+            )
+        )
         w[sl] = res.w
         per_layer.append((seg.name, res))
         total_alignment += res.shared_alignment
@@ -147,63 +145,25 @@ def layerwise_solve(
     )
 
 
-def predicted_loss_change(
-    bundle: GradientBundle,
-    w: np.ndarray,
-    layout: ParamLayout,
-    mode: str,
-    rank_tol: float = solver.SolverConfig().rank_tol,
-) -> LossChangeReport:
-    """First-order replay-loss change for an update in the given mode.
+def predicted_loss_change(bundle: GradientBundle, res: UpdateResult) -> LossChangeReport:
+    """First-order replay-loss change of the update ``res`` solved from ``bundle``.
 
-    Concatenated mode evaluates the global alignment between the shared
-    gradient and the projected new-task gradient: the predicted delta is
-    its negative when non-negative, else zero.  Layerwise mode sums the
-    negated per-layer alignments over the layers whose own alignment is
-    non-negative (the others contribute zero by construction).
+    Sums the negated alignments of the segments whose alignment is
+    non-negative (the others are reflected to zero by construction); a
+    whole-vector solve counts as one segment.
     """
     if bundle.shared is None:
         raise ValueError("bundle has no old-task gradients")
-    if mode not in (MODE_CONCATENATED, MODE_LAYERWISE):
-        raise ValueError(f"unknown mode {mode!r}")
-    w = np.asarray(w, dtype=np.float64)
-    g = bundle.new_grad
-    g_bar = bundle.shared
-    G = bundle.specific
-    cfg = SolverConfig(rank_tol=rank_tol)
-    realized = -float(g_bar @ w)
-
-    if mode == MODE_CONCATENATED:
-        B = solver.relax_basis(G, cfg)
-        Pg = linalg.apply_projection(B, g)
-        global_alignment = float(g_bar @ Pg)
-        contributes = global_alignment >= 0.0
-        entries = []
-        for seg, sl in zip(layout.segments, layout.slices()):
-            entries.append(
-                LayerAlignment(seg.name, float(g_bar[sl] @ Pg[sl]), contributes)
-            )
-        delta = -global_alignment if contributes else 0.0
-        return LossChangeReport(
-            per_layer=tuple(entries),
-            predicted_delta=delta,
-            realized_delta=realized,
-            mode=mode,
-        )
-
     entries = []
     delta = 0.0
-    for seg, sl in zip(layout.segments, layout.slices()):
-        B_seg = solver.relax_basis(G[sl, :], cfg)
-        Pg_seg = linalg.apply_projection(B_seg, g[sl])
-        alignment = float(g_bar[sl] @ Pg_seg)
+    for name, seg_res in res.per_layer or (("all", res),):
+        alignment = seg_res.shared_alignment
         contributes = alignment >= 0.0
         if contributes:
             delta -= alignment
-        entries.append(LayerAlignment(seg.name, alignment, contributes))
+        entries.append(LayerAlignment(name, alignment, contributes))
     return LossChangeReport(
         per_layer=tuple(entries),
         predicted_delta=delta,
-        realized_delta=realized,
-        mode=mode,
+        realized_delta=-float(bundle.shared @ res.w),
     )

@@ -1,5 +1,6 @@
-"""Dense linear-algebra kernels: orthonormalization, a cyclic Jacobi
-eigensolver, Gram-matrix PCA, and matrix-free null-space projection.
+"""Dense linear-algebra kernels: orthonormalization, Gram-matrix PCA
+(through LAPACK's symmetric eigensolver), and matrix-free null-space
+projection.
 
 All kernels work on plain float64 numpy arrays.  Vectors are 1-D arrays;
 bases and column collections are 2-D arrays whose columns are the vectors
@@ -12,10 +13,6 @@ from __future__ import annotations
 import numpy as np
 
 DEFAULT_RANK_TOL = 1e-10
-
-JACOBI_SWEEP_TOL = 1e-12
-JACOBI_MAX_SWEEPS = 100
-JACOBI_SYMMETRY_TOL = 1e-10
 
 
 def _as_matrix(X) -> np.ndarray:
@@ -95,106 +92,11 @@ def modified_gram_schmidt(X, rel_tol: float = DEFAULT_RANK_TOL) -> np.ndarray:
     return np.ascontiguousarray(B[:, :k])
 
 
-def _rotate(A: np.ndarray, V: np.ndarray, p: int, q: int) -> None:
-    """One Jacobi rotation zeroing ``A[p, q]``, accumulated into ``V``."""
-    apq = A[p, q]
-    if apq == 0.0:
-        return
-    tau = (A[q, q] - A[p, p]) / (2.0 * apq)
-    if tau >= 0.0:
-        t = 1.0 / (tau + np.sqrt(1.0 + tau * tau))
-    else:
-        t = -1.0 / (-tau + np.sqrt(1.0 + tau * tau))
-    c = 1.0 / np.sqrt(1.0 + t * t)
-    s = t * c
-
-    rp = A[p, :].copy()
-    rq = A[q, :].copy()
-    A[p, :] = c * rp - s * rq
-    A[q, :] = s * rp + c * rq
-    cp = A[:, p].copy()
-    cq = A[:, q].copy()
-    A[:, p] = c * cp - s * cq
-    A[:, q] = s * cp + c * cq
-    # restore exact symmetry on the rotated pair
-    A[p, q] = 0.0
-    A[q, p] = 0.0
-
-    vp = V[:, p].copy()
-    vq = V[:, q].copy()
-    V[:, p] = c * vp - s * vq
-    V[:, q] = s * vp + c * vq
-
-
-def jacobi_eigh(M) -> tuple[np.ndarray, np.ndarray]:
-    """Eigendecomposition of a symmetric matrix by cyclic Jacobi sweeps.
-
-    Returns ``(eigenvalues, eigenvectors)`` with eigenvalues sorted
-    descending and eigenvectors as orthonormal columns, so that
-    ``M @ V[:, i] == w[i] * V[:, i]`` up to rounding.  Convergence is
-    declared when the off-diagonal Frobenius norm drops below
-    ``1e-12 * ||M||_F``; intended for small matrices (side of at most a
-    few hundred).
-
-    Raises ``ValueError`` for non-square or non-symmetric input.
-    """
-    M = _as_matrix(M)
-    n = M.shape[0]
-    if M.shape[1] != n:
-        raise ValueError(f"matrix must be square, got shape {M.shape}")
-    if not np.isfinite(M).all():
-        raise ValueError("matrix entries must be finite")
-    scale = float(np.abs(M).max())
-    if scale > 0.0:
-        asym = float(np.abs(M - M.T).max())
-        if asym > JACOBI_SYMMETRY_TOL * scale:
-            raise ValueError(
-                f"matrix is not symmetric: max |M - M^T| = {asym:.3e} "
-                f"exceeds {JACOBI_SYMMETRY_TOL:.0e} * max|M|"
-            )
-
-    A = 0.5 * (M + M.T)
-    V = np.eye(n)
-    norm_f = float(np.linalg.norm(A))
-    eps = float(np.finfo(np.float64).eps)
-    if n > 1 and norm_f > 0.0:
-        stop = JACOBI_SWEEP_TOL * norm_f
-        off_diag = np.ones((n, n), dtype=bool)
-        np.fill_diagonal(off_diag, False)
-        for _ in range(JACOBI_MAX_SWEEPS):
-            # measured on the off-diagonal entries themselves; forming
-            # ||A||_F^2 - ||diag||^2 cancels catastrophically near
-            # convergence and can report zero while entries remain
-            off = float(np.sqrt((A[off_diag] ** 2).sum()))
-            if off < stop:
-                break
-            for p in range(n - 1):
-                for q in range(p + 1, n):
-                    apq = A[p, q]
-                    if apq == 0.0:
-                        continue
-                    if abs(apq) <= eps * (abs(A[p, p]) + abs(A[q, q])):
-                        # below roundoff of the diagonal it cannot be
-                        # rotated away meaningfully; zero it outright
-                        A[p, q] = 0.0
-                        A[q, p] = 0.0
-                        continue
-                    _rotate(A, V, p, q)
-
-    eigenvalues = np.diag(A).copy()
-    order = np.argsort(-eigenvalues, kind="stable")
-    eigenvalues = eigenvalues[order]
-    V = V[:, order]
-    for j in range(n):
-        _fix_sign(V[:, j])
-    return eigenvalues, V
-
-
 def gram_pca(G, K: int, rel_tol: float = DEFAULT_RANK_TOL) -> np.ndarray:
     """Top-``K`` orthonormal principal directions of the column space of ``G``.
 
     Works through the small Gram matrix ``G^T G``: eigendecompose it with
-    :func:`jacobi_eigh` and map the leading eigenvectors back through
+    ``numpy.linalg.eigh`` and map the leading eigenvectors back through
     ``G``.  Eigenvalues at or below ``rel_tol`` times the largest are
     treated as rank deficiency, so the result has
     ``min(K, numerical rank of G)`` columns.
@@ -208,8 +110,9 @@ def gram_pca(G, K: int, rel_tol: float = DEFAULT_RANK_TOL) -> np.ndarray:
     if not np.isfinite(G).all():
         raise ValueError("input columns must be finite")
 
-    gram = G.T @ G
-    eigenvalues, V = jacobi_eigh(gram)
+    eigenvalues, V = np.linalg.eigh(G.T @ G)
+    # eigh sorts ascending; take the principal directions first
+    eigenvalues, V = eigenvalues[::-1], V[:, ::-1]
     lam_max = float(eigenvalues[0])
     if lam_max <= 0.0:
         return empty_basis(n_rows)

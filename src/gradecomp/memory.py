@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .model import Batch
+from .model import Batch, read_exact
 
 POLICY_RING = "ring"
 POLICY_RESERVOIR = "reservoir"
@@ -166,18 +166,18 @@ def load_memory_snapshot(path) -> Coreset:
     with open(path, "rb") as fh:
         magic = fh.read(len(SNAPSHOT_MAGIC))
         if magic != SNAPSHOT_MAGIC:
-            raise ValueError(f"not a memory snapshot: bad magic {magic!r}")
-        (count,) = struct.unpack("<q", fh.read(8))
+            raise ValueError(f"{path}: not a memory snapshot: bad magic {magic!r}")
+        (count,) = struct.unpack("<q", read_exact(fh, 8, path))
         coreset = Coreset()
         for _ in range(count):
-            task_id, capacity, n, d = struct.unpack("<qqqq", fh.read(32))
-            features = np.frombuffer(fh.read(n * d * 8), dtype="<f8").reshape(n, d)
-            labels = np.frombuffer(fh.read(n * 8), dtype="<i8")
+            task_id, capacity, n, d = struct.unpack("<qqqq", read_exact(fh, 32, path))
+            features = np.frombuffer(read_exact(fh, n * d * 8, path), dtype="<f8")
+            labels = np.frombuffer(read_exact(fh, n * 8, path), dtype="<i8")
             coreset.add(
                 EpisodicMemory(
                     task_id=task_id,
                     capacity=capacity,
-                    features=features.copy(),
+                    features=features.reshape(n, d).copy(),
                     labels=labels.copy(),
                 )
             )

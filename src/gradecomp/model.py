@@ -24,6 +24,17 @@ from .layerwise import ParamLayout
 CHECKPOINT_MAGIC = b"GDMLPv1\0"
 
 
+def read_exact(fh, n: int, path) -> bytes:
+    """Exactly ``n`` bytes from ``fh``; fewer means ``path`` is truncated."""
+    data = fh.read(n)
+    if len(data) != n:
+        raise ValueError(
+            f"{path}: truncated file: needed {n} bytes at offset "
+            f"{fh.tell() - len(data)}, found {len(data)}"
+        )
+    return data
+
+
 @dataclass
 class Batch:
     """Dense feature rows plus integer class labels."""
@@ -230,17 +241,13 @@ class MlpModel:
         with open(path, "rb") as fh:
             magic = fh.read(len(CHECKPOINT_MAGIC))
             if magic != CHECKPOINT_MAGIC:
-                raise ValueError(f"not a model checkpoint: bad magic {magic!r}")
-            (n_sizes,) = struct.unpack("<q", fh.read(8))
-            sizes = [struct.unpack("<q", fh.read(8))[0] for _ in range(n_sizes)]
-            (seed,) = struct.unpack("<q", fh.read(8))
+                raise ValueError(f"{path}: not a model checkpoint: bad magic {magic!r}")
+            (n_sizes,) = struct.unpack("<q", read_exact(fh, 8, path))
+            sizes = [
+                struct.unpack("<q", read_exact(fh, 8, path))[0] for _ in range(n_sizes)
+            ]
+            (seed,) = struct.unpack("<q", read_exact(fh, 8, path))
             model = cls(sizes, seed=seed)
-            payload = fh.read(model.n_params * 8)
-            params = np.frombuffer(payload, dtype="<f8")
-            if params.shape[0] != model.n_params:
-                raise ValueError(
-                    f"checkpoint payload has {params.shape[0]} values, "
-                    f"expected {model.n_params}"
-                )
-            model.params[...] = params
+            payload = read_exact(fh, model.n_params * 8, path)
+            model.params[...] = np.frombuffer(payload, dtype="<f8")
         return model

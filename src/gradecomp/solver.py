@@ -7,6 +7,10 @@ form has two branches: project ``g`` out of the span, and, when the
 projected gradient still conflicts with the shared gradient, reflect the
 conflicting component away as well.
 
+:func:`decomposed_update` wraps basis and solve as an update rule, a map
+from a gradient bundle to an :class:`UpdateResult`, which runs on the
+whole vector or per layer segment alike.
+
 Also here: an independent brute-force KKT oracle used to cross-check the
 closed form, the basis-relaxation strategies, and the three baseline
 update rules (single averaged constraint, single random-memory
@@ -21,16 +25,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import linalg
+from .decomp import GradientBundle
 
 RELAX_FULL = "full"
 RELAX_PCA = "pca"
 RELAX_FIRST_K = "first_k"
 RELAX_LAST_K = "last_k"
 RELAXATIONS = (RELAX_FULL, RELAX_PCA, RELAX_FIRST_K, RELAX_LAST_K)
-
-MODE_CONCATENATED = "concatenated"
-MODE_LAYERWISE = "layerwise"
-MODES = (MODE_CONCATENATED, MODE_LAYERWISE)
 
 PROJECT_ONLY = "project_only"
 PROJECT_AND_REFLECT = "project_and_reflect"
@@ -42,18 +43,15 @@ DEGENERATE_DENOM_REL = 1e-14
 
 @dataclass(frozen=True)
 class SolverConfig:
-    """How to build the constraint basis and where to apply the solve."""
+    """How to build the constraint basis."""
 
     relaxation: str = RELAX_FULL
     k: int | None = None
     rank_tol: float = linalg.DEFAULT_RANK_TOL
-    mode: str = MODE_CONCATENATED
 
     def __post_init__(self):
         if self.relaxation not in RELAXATIONS:
             raise ValueError(f"unknown relaxation {self.relaxation!r}")
-        if self.mode not in MODES:
-            raise ValueError(f"unknown mode {self.mode!r}")
         if self.relaxation != RELAX_FULL:
             if self.k is None or self.k < 1:
                 raise ValueError(
@@ -75,7 +73,7 @@ class UpdateResult:
     projection.  For layerwise solves, ``per_layer`` carries the
     per-segment results in layout order and the top-level fields
     aggregate them (alignment summed; branch is ``project_only`` only if
-    every segment projected).
+    every segment projected); it is ``None`` for a whole-vector solve.
     """
 
     w: np.ndarray
@@ -184,6 +182,14 @@ def relax_basis(G_specific: np.ndarray, cfg: SolverConfig) -> np.ndarray:
     if cfg.relaxation == RELAX_FIRST_K:
         return linalg.modified_gram_schmidt(G[:, :k], cfg.rank_tol)
     return linalg.modified_gram_schmidt(G[:, G.shape[1] - k:], cfg.rank_tol)
+
+
+def decomposed_update(
+    bundle: GradientBundle, cfg: SolverConfig = SolverConfig()
+) -> UpdateResult:
+    """The decomposed update rule: relax the specific basis, then solve."""
+    B = relax_basis(bundle.specific, cfg)
+    return solve_update(bundle.new_grad, bundle.shared, B)
 
 
 def agem_update(g: np.ndarray, g_bar: np.ndarray) -> np.ndarray:

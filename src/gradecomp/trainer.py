@@ -3,8 +3,9 @@
 Each training step computes the new-task gradient, samples one batch
 from every stored memory, decomposes the memory gradients into shared
 and specific components, builds the constraint basis for the selected
-method, solves for the update (concatenated or per layer), and applies
-it.  With no stored memories every method degenerates to plain SGD.
+method, solves for the update (on the whole vector or per layer), and
+applies it.  With no stored memories every method degenerates to plain
+SGD.
 
 All randomness is drawn from generators seeded as ``run_seed + offset``
 with one fixed offset per role, so enabling one feature never perturbs
@@ -25,13 +26,14 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field, replace
+from functools import partial
 
 import numpy as np
 
 from . import layerwise as lw
 from . import memory as mem
 from . import solver
-from .decomp import decompose, shared_gradient
+from .decomp import GradientBundle, decompose, shared_gradient
 from .model import Batch, MlpModel
 from .tasks import SCENARIO_SPLIT, TaskStream
 
@@ -53,9 +55,8 @@ KINDS = (KIND_SINGLE, KIND_AGEM, KIND_SGEM, KIND_GEM, KIND_OURS)
 class MethodVariant:
     """Update rule selector.
 
-    ``lgu`` applies the rule independently per layout segment.  For the
-    decomposed method the solver config's mode must agree with ``lgu``;
-    use the helpers below instead of constructing by hand.
+    ``lgu`` applies the rule independently per layout segment;
+    ``solver_cfg`` selects the basis relaxation of the decomposed method.
     """
 
     kind: str
@@ -65,13 +66,6 @@ class MethodVariant:
     def __post_init__(self):
         if self.kind not in KINDS:
             raise ValueError(f"unknown method kind {self.kind!r}")
-        if self.kind == KIND_OURS:
-            layer_mode = self.solver_cfg.mode == solver.MODE_LAYERWISE
-            if layer_mode != self.lgu:
-                raise ValueError(
-                    "lgu flag and solver mode disagree: "
-                    f"lgu={self.lgu}, mode={self.solver_cfg.mode!r}"
-                )
 
     @property
     def name(self) -> str:
@@ -102,11 +96,7 @@ def variant_gem(lgu: bool = False) -> MethodVariant:
 def variant_ours(
     relaxation: str = solver.RELAX_FULL, k: int | None = None, lgu: bool = False
 ) -> MethodVariant:
-    cfg = solver.SolverConfig(
-        relaxation=relaxation,
-        k=k,
-        mode=solver.MODE_LAYERWISE if lgu else solver.MODE_CONCATENATED,
-    )
+    cfg = solver.SolverConfig(relaxation=relaxation, k=k)
     return MethodVariant(kind=KIND_OURS, lgu=lgu, solver_cfg=cfg)
 
 
@@ -189,6 +179,28 @@ def _memory_gradients(
     return grads, float(np.mean(losses))
 
 
+def _agem_rule(bundle: GradientBundle) -> solver.UpdateResult:
+    """The averaged constraint; ``project_only`` when it leaves ``g`` as is."""
+    g, g_bar = bundle.new_grad, bundle.shared
+    align = float(g_bar @ g)
+    return solver.UpdateResult(
+        w=solver.agem_update(g, g_bar),
+        branch=solver.PROJECT_ONLY if align >= 0.0 else solver.PROJECT_AND_REFLECT,
+        shared_alignment=align,
+    )
+
+
+def _gem_rule(bundle: GradientBundle) -> solver.UpdateResult:
+    """The per-memory QP; ``project_only`` when no memory conflicts with ``g``."""
+    g = bundle.new_grad
+    inactive = all(float(gi @ g) >= 0.0 for gi in bundle.old_grads)
+    return solver.UpdateResult(
+        w=solver.gem_qp_update(g, bundle.old_grads),
+        branch=solver.PROJECT_ONLY if inactive else solver.PROJECT_AND_REFLECT,
+        shared_alignment=float(bundle.shared @ g),
+    )
+
+
 def _solve_for_variant(
     variant: MethodVariant,
     model: MlpModel,
@@ -197,45 +209,24 @@ def _solve_for_variant(
     sgem_rng: np.random.Generator,
     trace: StepTrace,
 ) -> np.ndarray:
-    layout = model.layout
-    if variant.kind == KIND_OURS:
-        bundle = decompose(g, old_grads)
-        if variant.lgu:
-            res = lw.layerwise_solve(bundle, layout, variant.solver_cfg)
-            trace.per_layer_alignments = tuple(
-                r.shared_alignment for _, r in res.per_layer
-            )
-        else:
-            B = solver.relax_basis(bundle.specific, variant.solver_cfg)
-            res = solver.solve_update(g, bundle.shared, B)
-        trace.branch = res.branch
-        trace.alignment = res.shared_alignment
-        return res.w
-
-    if variant.kind == KIND_AGEM:
-        g_bar = shared_gradient(old_grads)
-        if variant.lgu:
-            w = np.empty_like(g)
-            alignments = []
-            for sl in layout.slices():
-                w[sl] = solver.agem_update(g[sl], g_bar[sl])
-                alignments.append(float(g_bar[sl] @ g[sl]))
-            trace.per_layer_alignments = tuple(alignments)
-            trace.alignment = float(sum(alignments))
-            return w
-        trace.alignment = float(g_bar @ g)
-        return solver.agem_update(g, g_bar)
-
     if variant.kind == KIND_SGEM:
         return solver.sgem_update(g, old_grads, sgem_rng)
 
-    # per-memory inequality QP
-    if variant.lgu:
-        w = np.empty_like(g)
-        for sl in layout.slices():
-            w[sl] = solver.gem_qp_update(g[sl], [gi[sl] for gi in old_grads])
-        return w
-    return solver.gem_qp_update(g, old_grads)
+    if variant.kind == KIND_OURS:
+        bundle = decompose(g, old_grads)
+        rule = partial(solver.decomposed_update, cfg=variant.solver_cfg)
+    else:
+        bundle = GradientBundle(
+            new_grad=g, old_grads=old_grads, shared=shared_gradient(old_grads)
+        )
+        rule = _agem_rule if variant.kind == KIND_AGEM else _gem_rule
+    res = lw.layerwise_solve(bundle, model.layout, rule) if variant.lgu else rule(bundle)
+
+    trace.branch = res.branch
+    trace.alignment = res.shared_alignment
+    if res.per_layer is not None:
+        trace.per_layer_alignments = tuple(r.shared_alignment for _, r in res.per_layer)
+    return res.w
 
 
 def train_step(

@@ -17,10 +17,9 @@ from gradecomp.decomp import decompose
 from gradecomp.layerwise import ParamLayout, layerwise_solve, predicted_loss_change
 from gradecomp.model import Batch, MlpModel
 from gradecomp.solver import (
-    MODE_CONCATENATED,
-    MODE_LAYERWISE,
     SolverConfig,
     agem_update,
+    decomposed_update,
     gem_qp_update,
     solve_update,
 )
@@ -123,17 +122,17 @@ def test_criterion_06_first_order_loss_prediction():
     layout = model.layout
 
     B = solver.relax_basis(bundle.specific, SolverConfig())
-    w_modes = {
-        MODE_CONCATENATED: solve_update(g, bundle.shared, B).w,
-        MODE_LAYERWISE: layerwise_solve(bundle, layout, SolverConfig()).w,
+    res_modes = {
+        "concatenated": solve_update(g, bundle.shared, B),
+        "layerwise": layerwise_solve(bundle, layout, decomposed_update),
     }
     base_loss = shared_loss(model, mem_batches)
-    for mode, w in w_modes.items():
-        pred = predicted_loss_change(bundle, w, layout, mode).predicted_delta
+    for mode, res in res_modes.items():
+        pred = predicted_loss_change(bundle, res).predicted_delta
         errors = []
         for eta in (1e-3, 5e-4):
             stepped = model.clone()
-            stepped.apply_update(w, eta)
+            stepped.apply_update(res.w, eta)
             actual = shared_loss(stepped, mem_batches) - base_loss
             errors.append(abs(actual - eta * pred))
         ratio = errors[0] / errors[1]
@@ -183,8 +182,8 @@ def test_criterion_07_layerwise_dominance():
         # through the module, so the session feasibility guard checks it
         d_one = -float(g_bar @ solver.solve_update(g, g_bar, B_block).w)
 
-        w_lw = layerwise_solve(bundle, layout, cfg).w
-        report = predicted_loss_change(bundle, w_lw, layout, MODE_LAYERWISE)
+        res_lw = layerwise_solve(bundle, layout, decomposed_update)
+        report = predicted_loss_change(bundle, res_lw)
         for key, delta in (("predicted", report.predicted_delta),
                            ("realized", report.realized_delta)):
             if delta > d_one + tol:
@@ -200,9 +199,7 @@ def test_criterion_07_layerwise_dominance():
             # would pass for a gain on about half of these bundles
             strict += report.realized_delta < d_one - tol
 
-        d_cc = predicted_loss_change(
-            bundle, g, layout, MODE_CONCATENATED
-        ).predicted_delta
+        d_cc = predicted_loss_change(bundle, decomposed_update(bundle)).predicted_delta
         if report.predicted_delta > d_cc:
             cross_violations += 1
             cross_worst = max(cross_worst, report.predicted_delta - d_cc)
@@ -357,7 +354,7 @@ def test_criterion_13_degenerate_equivalences():
         n_mem = int(rng.integers(2, 6))
         bundle_m = decompose(g, [rng.standard_normal(dim) for _ in range(n_mem)])
         layout = ParamLayout.from_lengths([("all", dim)])
-        w_lw = layerwise_solve(bundle_m, layout, SolverConfig()).w
+        w_lw = layerwise_solve(bundle_m, layout, decomposed_update).w
         B_m = solver.relax_basis(bundle_m.specific, SolverConfig())
         w_cc = solve_update(g, bundle_m.shared, B_m).w
         assert np.array_equal(w_lw, w_cc)

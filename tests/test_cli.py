@@ -55,6 +55,15 @@ class TestConfigHandling:
             cli.load_config(path, ["train.nope=1"])
         assert "train.nope" in str(err.value)
 
+    def test_overrides_without_config_file(self, tmp_path):
+        out = tmp_path / "out"
+        code = cli.main([
+            "run", "seed=5", f"out_dir={out}", "data.tasks=2", "data.n_per_class=10",
+            "model.hidden_sizes=[4]", 'variants=["a"]',
+        ])
+        assert code == 0
+        assert json.loads((out / "a" / "manifest.json").read_text())["seed"] == 5
+
     def test_unknown_variant_name_exit_2(self, tmp_path, capsys):
         path = write_config(tmp_path, variants=["a", "warp"])
         code = cli.main(["run", str(path)])
@@ -154,6 +163,22 @@ class TestCmdSweepK:
         assert "clamped to 2" in out
         lines = (tmp_path / "out" / "sweep_k.csv").read_text().strip().splitlines()
         assert [line.split(",")[0] for line in lines[1:]] == ["1", "2"]
+
+    @pytest.mark.parametrize(
+        "tasks, split_n, k, effective",
+        [(3, 5, 4, 4), (4, 2, 3, 1)],  # five memories give rank 4, two give 1
+    )
+    def test_clamp_follows_replay_split(self, tmp_path, capsys, tasks, split_n, k, effective):
+        path = write_config(
+            tmp_path,
+            data={"tasks": tasks},
+            train={"memory_size": 16, "replay_split_n": split_n},
+            sweep={"variant": "e", "k_values": [k]},
+        )
+        assert cli.main(["sweep-k", str(path)]) == 0
+        assert ("clamped" in capsys.readouterr().out) == (effective != k)
+        manifest = json.loads((tmp_path / "out" / "sweep_manifest.json").read_text())
+        assert manifest["k_values_effective"] == [effective]
 
     def test_non_pca_variant_rejected(self, tmp_path):
         path = write_config(tmp_path, sweep={"variant": "d", "k_values": [1]})

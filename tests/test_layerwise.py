@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from gradecomp import linalg, solver
+from gradecomp import solver
 from gradecomp.decomp import decompose
 from gradecomp.layerwise import (
     ParamLayout,
@@ -12,11 +12,10 @@ from gradecomp.layerwise import (
     split_by_layer,
 )
 from gradecomp.solver import (
-    MODE_CONCATENATED,
-    MODE_LAYERWISE,
     PROJECT_AND_REFLECT,
     PROJECT_ONLY,
     SolverConfig,
+    decomposed_update,
 )
 
 
@@ -71,7 +70,7 @@ class TestLayerwiseSolve:
             dim = int(rng.integers(4, 30))
             old = [rng.standard_normal(dim) for _ in range(4)]
             bundle = decompose(rng.standard_normal(dim), old)
-            res_lw = layerwise_solve(bundle, layout_of(dim), SolverConfig())
+            res_lw = layerwise_solve(bundle, layout_of(dim), decomposed_update)
             B = solver.relax_basis(bundle.specific, SolverConfig())
             res_cc = solver.solve_update(bundle.new_grad, bundle.shared, B)
             assert np.array_equal(res_lw.w, res_cc.w)
@@ -83,7 +82,7 @@ class TestLayerwiseSolve:
         old = [np.array([1.0, 0.0, 1.0, 1.0]), np.array([1.0, 0.0, 1.0, -1.0])]
         g = np.array([2.0, 3.0, -1.0, 5.0])
         bundle = decompose(g, old)
-        res = layerwise_solve(bundle, layout_of(2, 2), SolverConfig())
+        res = layerwise_solve(bundle, layout_of(2, 2), decomposed_update)
         (name_a, res_a), (name_b, res_b) = res.per_layer
         assert res_a.branch == PROJECT_ONLY
         np.testing.assert_array_equal(res_a.w, [2.0, 3.0])
@@ -101,7 +100,7 @@ class TestLayerwiseSolve:
             dim = layout.total
             old = [rng.standard_normal(dim) for _ in range(5)]
             bundle = decompose(rng.standard_normal(dim), old)
-            res = layerwise_solve(bundle, layout, SolverConfig())
+            res = layerwise_solve(bundle, layout, decomposed_update)
             for sl, (_, seg_res) in zip(layout.slices(), res.per_layer):
                 sub = decompose(bundle.new_grad[sl], [o[sl] for o in old])
                 B = solver.relax_basis(sub.specific, SolverConfig())
@@ -113,31 +112,27 @@ class TestLayerwiseSolve:
         rng = np.random.default_rng(403)
         old = [rng.standard_normal(10) for _ in range(3)]
         bundle = decompose(rng.standard_normal(10), old)
-        res = layerwise_solve(bundle, layout_of(4, 6), SolverConfig())
+        res = layerwise_solve(bundle, layout_of(4, 6), decomposed_update)
         parts = sum(r.shared_alignment for _, r in res.per_layer)
         assert res.shared_alignment == pytest.approx(parts)
 
     def test_requires_old_tasks(self):
         bundle = decompose(np.zeros(4), [])
         with pytest.raises(ValueError):
-            layerwise_solve(bundle, layout_of(4), SolverConfig())
+            layerwise_solve(bundle, layout_of(4), decomposed_update)
 
 
 class TestPredictedLossChange:
     def test_aligned_concatenated_case(self):
         bundle = decompose(np.array([1.0, 0.0]), [np.array([1.0, 0.0])])
-        report = predicted_loss_change(
-            bundle, np.array([1.0, 0.0]), layout_of(2), MODE_CONCATENATED
-        )
+        report = predicted_loss_change(bundle, decomposed_update(bundle))
         assert report.predicted_delta == pytest.approx(-1.0)
         assert report.per_layer[0].contributes
 
     def test_conflicting_concatenated_case_is_zero(self):
         bundle = decompose(np.array([-1.0, 0.0]), [np.array([1.0, 0.0])])
-        w = solver.solve_update(
-            bundle.new_grad, bundle.shared, np.zeros((2, 0))
-        ).w
-        report = predicted_loss_change(bundle, w, layout_of(2), MODE_CONCATENATED)
+        res = solver.solve_update(bundle.new_grad, bundle.shared, np.zeros((2, 0)))
+        report = predicted_loss_change(bundle, res)
         assert report.predicted_delta == 0.0
         assert not report.per_layer[0].contributes
 
@@ -146,23 +141,12 @@ class TestPredictedLossChange:
         old = [np.array([1.0, 0.0, 1.0, 0.0])]
         g = np.array([0.5, 9.0, -0.3, 7.0])
         bundle = decompose(g, old)
-        report = predicted_loss_change(bundle, g, layout_of(2, 2), MODE_LAYERWISE)
+        res = layerwise_solve(bundle, layout_of(2, 2), decomposed_update)
+        report = predicted_loss_change(bundle, res)
         aligns = [e.alignment for e in report.per_layer]
         assert aligns == [pytest.approx(0.5), pytest.approx(-0.3)]
         assert report.predicted_delta == pytest.approx(-0.5)
         assert [e.contributes for e in report.per_layer] == [True, False]
-
-    def test_concatenated_entries_sum_to_global_alignment(self):
-        rng = np.random.default_rng(404)
-        old = [rng.standard_normal(12) for _ in range(4)]
-        bundle = decompose(rng.standard_normal(12), old)
-        report = predicted_loss_change(
-            bundle, bundle.new_grad, layout_of(5, 7), MODE_CONCATENATED
-        )
-        B = linalg.modified_gram_schmidt(bundle.specific)
-        Pg = linalg.apply_projection(B, bundle.new_grad)
-        total = float(bundle.shared @ Pg)
-        assert sum(e.alignment for e in report.per_layer) == pytest.approx(total)
 
     def test_realized_delta_matches_prediction_for_matching_update(self):
         rng = np.random.default_rng(405)
@@ -170,8 +154,8 @@ class TestPredictedLossChange:
             old = [rng.standard_normal(9) for _ in range(3)]
             bundle = decompose(rng.standard_normal(9), old)
             layout = layout_of(4, 5)
-            res = layerwise_solve(bundle, layout, SolverConfig())
-            report = predicted_loss_change(bundle, res.w, layout, MODE_LAYERWISE)
+            res = layerwise_solve(bundle, layout, decomposed_update)
+            report = predicted_loss_change(bundle, res)
             assert report.realized_delta == pytest.approx(
                 report.predicted_delta, abs=1e-10
             )
@@ -181,9 +165,8 @@ class TestPredictedLossChange:
         for _ in range(100):
             old = [rng.standard_normal(12) for _ in range(int(rng.integers(1, 6)))]
             bundle = decompose(rng.standard_normal(12), old)
-            report = predicted_loss_change(
-                bundle, bundle.new_grad, layout_of(3, 4, 5), MODE_LAYERWISE
-            )
+            res = layerwise_solve(bundle, layout_of(3, 4, 5), decomposed_update)
+            report = predicted_loss_change(bundle, res)
             assert report.predicted_delta <= 0.0
 
     def test_single_memory_dominance_boundary(self):
@@ -195,10 +178,10 @@ class TestPredictedLossChange:
             bundle = decompose(rng.standard_normal(12), [rng.standard_normal(12)])
             layout = layout_of(3, 4, 5)
             d_cc = predicted_loss_change(
-                bundle, bundle.new_grad, layout, MODE_CONCATENATED
+                bundle, decomposed_update(bundle)
             ).predicted_delta
             d_lw = predicted_loss_change(
-                bundle, bundle.new_grad, layout, MODE_LAYERWISE
+                bundle, layerwise_solve(bundle, layout, decomposed_update)
             ).predicted_delta
             # segmented and whole-vector dot products round differently
             assert d_lw <= d_cc + 1e-12 * max(1.0, abs(d_cc))

@@ -1,7 +1,7 @@
-"""Kernels: orthonormalization, Jacobi eigensolver, Gram PCA, projection.
+"""Kernels: orthonormalization, Gram PCA, projection.
 
-The Jacobi and PCA paths are cross-checked against numpy.linalg.eigh and
-reconstruction identities, which share no code with the implementations.
+The PCA path is cross-checked against Gram-Schmidt spans and
+reconstruction identities, which share no code with the implementation.
 """
 
 import numpy as np
@@ -89,48 +89,6 @@ class TestModifiedGramSchmidt:
             linalg.modified_gram_schmidt(np.eye(2), rel_tol=0.0)
         with pytest.raises(ValueError):
             linalg.modified_gram_schmidt(np.array([[np.nan], [1.0]]))
-
-
-class TestJacobiEigh:
-    def test_two_by_two_analytic(self):
-        w, V = linalg.jacobi_eigh(np.array([[1.0, -1.0], [-1.0, 1.0]]))
-        np.testing.assert_allclose(w, [2.0, 0.0], atol=1e-14)
-        np.testing.assert_allclose(np.abs(V[:, 0]), [1 / RT2, 1 / RT2], atol=1e-14)
-        assert V[0, 0] > 0  # sign convention: leading entry positive
-
-    def test_identity(self):
-        w, V = linalg.jacobi_eigh(np.eye(3))
-        np.testing.assert_allclose(w, [1.0, 1.0, 1.0])
-        np.testing.assert_allclose(V.T @ V, np.eye(3), atol=1e-14)
-
-    def test_reconstruction_on_random_symmetric(self):
-        rng = np.random.default_rng(106)
-        for _ in range(20):
-            n = int(rng.integers(2, 12))
-            A = rng.standard_normal((n, n))
-            M = 0.5 * (A + A.T)
-            w, V = linalg.jacobi_eigh(M)
-            scale = max(1.0, float(np.abs(w).max()))
-            assert np.abs(V @ np.diag(w) @ V.T - M).max() < 1e-9 * scale
-            assert np.abs(M @ V - V * w).max() < 1e-9 * scale
-            assert np.abs(V.T @ V - np.eye(n)).max() < 1e-12
-
-    def test_matches_numpy_eigenvalues(self):
-        rng = np.random.default_rng(107)
-        for _ in range(20):
-            n = int(rng.integers(2, 30))
-            A = rng.standard_normal((n, n))
-            M = 0.5 * (A + A.T)
-            w, _ = linalg.jacobi_eigh(M)
-            w_ref = np.linalg.eigvalsh(M)[::-1]
-            np.testing.assert_allclose(w, w_ref, atol=1e-10 * max(1, abs(w_ref).max()))
-            assert (np.diff(w) <= 1e-12).all()  # descending
-
-    def test_rejects_nonsymmetric_and_nonsquare(self):
-        with pytest.raises(ValueError, match="symmetric"):
-            linalg.jacobi_eigh(np.array([[1.0, 2.0], [0.0, 1.0]]))
-        with pytest.raises(ValueError, match="square"):
-            linalg.jacobi_eigh(np.zeros((2, 3)))
 
 
 class TestGramPca:

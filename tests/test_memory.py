@@ -156,3 +156,17 @@ class TestCoreset:
         path.write_bytes(b"\x00" * 16)
         with pytest.raises(ValueError, match="magic"):
             load_memory_snapshot(path)
+
+    def test_truncated_snapshot_names_file(self, tmp_path):
+        coreset = Coreset()
+        coreset.add(update_memory(batch_of(5), m=4, task_id=0))
+        path = tmp_path / "memories.bin"
+        save_memory_snapshot(coreset, path)
+        data = path.read_bytes()
+        header = 8 + 8 + 32  # magic, memory count, one memory header
+        # after the magic, inside the memory header, inside the features
+        for cut in (8, 8 + 8 + 12, header + 13):
+            path.write_bytes(data[:cut])
+            with pytest.raises(ValueError, match="truncated") as err:
+                load_memory_snapshot(path)
+            assert str(path) in str(err.value)

@@ -209,6 +209,18 @@ class TestDeterminismAndCheckpoint:
         with pytest.raises(ValueError, match="magic"):
             MlpModel.load_checkpoint(path)
 
+    def test_truncated_checkpoint_names_file(self, tmp_path):
+        path = tmp_path / "model.ckpt"
+        MlpModel([3, 6, 2], seed=5).save_checkpoint(path)
+        data = path.read_bytes()
+        header = 8 + 8 * 5  # magic, size count, three sizes, seed
+        # after the magic, inside the header, inside the payload
+        for cut in (8, 8 + 12, header + (len(data) - header) // 2 + 3):
+            path.write_bytes(data[:cut])
+            with pytest.raises(ValueError, match="truncated") as err:
+                MlpModel.load_checkpoint(path)
+            assert str(path) in str(err.value)
+
     def test_per_tensor_layout_segments(self):
         fused = MlpModel([3, 4, 2], seed=1)
         split = MlpModel([3, 4, 2], seed=1, per_tensor_layout=True)

@@ -190,8 +190,6 @@ class TestRelaxBasis:
             SolverConfig(relaxation="nope")
         with pytest.raises(ValueError):
             SolverConfig(relaxation=RELAX_PCA)  # k missing
-        with pytest.raises(ValueError):
-            SolverConfig(mode="sideways")
 
 
 class TestAgemUpdate:

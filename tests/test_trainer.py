@@ -126,6 +126,34 @@ class TestTrainStep:
         assert len(trace.per_layer_alignments) == 2
         assert trace.update_norm > 0
 
+    def test_per_layer_baselines_apply_slice_wise_rules(self):
+        from gradecomp import solver
+        from gradecomp.decomp import shared_gradient
+        from gradecomp.memory import sample_memory_batch
+
+        stream = make_stream(7)
+        memories = [update_memory(stream.tasks[t].train, m=8, task_id=t) for t in range(2)]
+        batch = Batch(stream.tasks[2].train.inputs[:6], stream.tasks[2].train.labels[:6])
+        model = MlpModel([8, 6, 3], seed=8)
+        slices = model.layout.slices()
+        _, g = model.loss_and_grad(batch)
+        mem_rng = np.random.default_rng(1000)  # the memory stream of rngs()
+        old = [model.loss_and_grad(sample_memory_batch(m, 20, mem_rng))[1] for m in memories]
+        g_bar = shared_gradient(old)
+        expected = {
+            "agem": [solver.agem_update(g[sl], g_bar[sl]) for sl in slices],
+            "gem": [solver.gem_qp_update(g[sl], [o[sl] for o in old]) for sl in slices],
+        }
+        for variant in (variant_agem(lgu=True), trainer.variant_gem(lgu=True)):
+            stepped, reference = model.clone(), model.clone()
+            trace = train_step(stepped, batch, memories, variant, 0.1, *rngs())
+            reference.apply_update(np.concatenate(expected[variant.kind]), 0.1)
+            assert np.array_equal(stepped.params, reference.params)
+            assert trace.branch is not None
+            assert trace.per_layer_alignments == tuple(
+                float(g_bar[sl] @ g[sl]) for sl in slices
+            )
+
 
 class TestTrainSequence:
     def test_single_task_matrix(self):
@@ -225,19 +253,12 @@ class TestVariantEquivalences:
         assert variant_from_letter("c").lgu
         assert variant_from_letter("d").kind == "ours"
         assert variant_from_letter("e", k=2).solver_cfg.relaxation == "pca"
-        assert variant_from_letter("f").solver_cfg.mode == "layerwise"
+        f = variant_from_letter("f")
+        assert f.kind == "ours" and f.lgu
         g = variant_from_letter("g", k=3)
         assert g.solver_cfg.relaxation == "pca" and g.lgu
         with pytest.raises(ValueError):
             variant_from_letter("z")
-
-    def test_inconsistent_lgu_flag_rejected(self):
-        from gradecomp.solver import SolverConfig
-
-        with pytest.raises(ValueError, match="disagree"):
-            trainer.MethodVariant(
-                kind="ours", lgu=True, solver_cfg=SolverConfig()
-            )
 
 
 class TestRunAblation:
