@@ -1,6 +1,13 @@
-"""Dense linear-algebra kernels: orthonormalization, Gram-matrix PCA
-(through LAPACK's symmetric eigensolver), and matrix-free null-space
-projection.
+"""Dense linear-algebra kernels: orthonormalization with rank detection
+(through LAPACK's Householder QR), Gram-matrix PCA (through LAPACK's
+symmetric eigensolver), and matrix-free null-space projection.
+
+``modified_gram_schmidt`` keeps the Gram-Schmidt contract (columns taken
+left to right, a column dropped when its residual against the kept ones
+falls below ``rel_tol`` times the largest column norm) but computes it
+with one LAPACK Householder QR of the input, a triangular inverse
+applied as one matrix product, and one Cholesky re-orthogonalization
+pass; no Python loop runs over the rows.
 
 All kernels work on plain float64 numpy arrays.  Vectors are 1-D arrays;
 bases and column collections are 2-D arrays whose columns are the vectors
@@ -38,16 +45,40 @@ def empty_basis(n_rows: int) -> np.ndarray:
     return np.zeros((n_rows, 0))
 
 
+def _column_norms(R: np.ndarray) -> np.ndarray:
+    """Euclidean norms of the columns of ``R``, safe from over- and underflow."""
+    scale = float(np.abs(R).max())
+    if scale == 0.0:
+        return np.zeros(R.shape[1])
+    return scale * np.sqrt(((R / scale) ** 2).sum(axis=0))
+
+
 def modified_gram_schmidt(X, rel_tol: float = DEFAULT_RANK_TOL) -> np.ndarray:
     """Orthonormal basis of the column space of ``X`` with rank detection.
 
-    Columns are processed left to right; each is orthogonalized against
-    the accepted basis (two passes, which restores orthogonality lost to
-    cancellation) and dropped when its residual norm falls below
-    ``rel_tol`` times the largest input column norm.
+    Contract: columns are taken left to right, and a column is dropped
+    when its residual against the columns kept before it falls below
+    ``rel_tol`` times the largest input column norm.  Each output column
+    has its first entry of magnitude above 1e-12 positive.
 
-    Returns a matrix ``B`` with orthonormal columns spanning the same
-    space as ``X``.  Empty input yields a zero-column matrix.
+    Algorithm (Householder QR, then one Cholesky re-orthogonalization):
+
+    1. ``R = qr(X, "r")`` (LAPACK).  ``|R[j, j]|`` is the Gram-Schmidt
+       residual of column j against columns ``0..j-1``, and the column
+       norms of ``R`` equal those of ``X``.
+    2. The first column whose residual is below the threshold is
+       dropped and the small ``R`` without it is refactored, so later
+       residuals are taken against the kept columns only; repeat.  At
+       most ``n_rows`` columns can be kept.
+    3. ``U = X @ W`` with ``W[kept] = inv(R_kept)``; one GEMM on ``X``.
+    4. ``B = U @ inv(L).T`` with ``L = cholesky(U.T @ U)`` restores the
+       orthogonality lost to ill-conditioning in step 3.  The residual
+       floor of step 2 keeps ``U`` far enough from rank deficiency for
+       the factorization to exist.
+
+    Returns a C-contiguous ``(n_rows, k)`` matrix ``B`` with orthonormal
+    columns spanning the kept columns.  Empty or all-zero input yields
+    a zero-column matrix.  ``X`` is never modified.
     """
     if rel_tol <= 0.0:
         raise ValueError("rel_tol must be positive")
@@ -58,38 +89,40 @@ def modified_gram_schmidt(X, rel_tol: float = DEFAULT_RANK_TOL) -> np.ndarray:
     if not np.isfinite(X).all():
         raise ValueError("input columns must be finite")
 
-    max_norm = float(np.sqrt((X * X).sum(axis=0).max()))
+    R = np.linalg.qr(X, mode="r")
+    max_norm = float(_column_norms(R).max())
     if max_norm == 0.0:
         return empty_basis(n_rows)
     drop_below = rel_tol * max_norm
 
-    # right-looking: each accepted direction is projected out of all
-    # remaining columns at once; an extra pass against the accepted
-    # basis at acceptance time restores orthogonality lost to
-    # cancellation in nearly dependent columns
-    work = np.asfortranarray(X, dtype=np.float64)
-    if work is X:
-        work = X.copy(order="F")
-    B = np.empty((n_rows, n_cols), order="F")
-    k = 0
-    for j in range(n_cols):
-        v = work[:, j]
-        if k > 0:
-            accepted = B[:, :k]
-            v -= accepted @ (accepted.T @ v)
-        norm = float(np.linalg.norm(v))
-        if norm < drop_below:
-            continue
-        v /= norm
-        _fix_sign(v)
-        B[:, k] = v
-        k += 1
-        if j + 1 < n_cols:
-            rest = work[:, j + 1:]
-            rest -= np.outer(v, v @ rest)
+    kept = np.arange(n_cols)
+    start = 0
+    while True:
+        residuals = np.abs(np.diagonal(R)[start:])
+        small = np.flatnonzero(residuals < drop_below)
+        if small.size == 0:
+            break
+        j = start + int(small[0])
+        kept = np.delete(kept, j)
+        if j == kept.size:
+            R = R[:j, :j]
+        else:
+            # columns before j are already triangular; refactoring keeps
+            # their residuals and recomputes the later ones without j
+            R = np.linalg.qr(np.delete(R, j, axis=1), mode="r")
+        start = j
+    k = min(kept.size, n_rows)
     if k == 0:
         return empty_basis(n_rows)
-    return np.ascontiguousarray(B[:, :k])
+    kept = kept[:k]
+
+    W = np.zeros((n_cols, k))
+    W[kept] = np.linalg.inv(R[:k, :k])
+    U = X @ W
+    B = U @ np.linalg.inv(np.linalg.cholesky(U.T @ U)).T
+    for j in range(k):
+        _fix_sign(B[:, j])
+    return np.ascontiguousarray(B)
 
 
 def gram_pca(G, K: int, rel_tol: float = DEFAULT_RANK_TOL) -> np.ndarray:

@@ -3,7 +3,7 @@ pooled re-splitting for boundary-free training.
 
 Snapshot format mirrors the model checkpoint conventions: little-endian
 binary with an 8-byte magic, int64 header fields, a float64 feature
-payload, and int64 labels.
+payload, and int64 labels, with nothing after the last memory.
 """
 
 from __future__ import annotations
@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .model import Batch, read_exact
+from .model import Batch, expect_end, read_exact
 
 POLICY_RING = "ring"
 POLICY_RESERVOIR = "reservoir"
@@ -181,4 +181,5 @@ def load_memory_snapshot(path) -> Coreset:
                     labels=labels.copy(),
                 )
             )
+        expect_end(fh, path)
     return coreset

@@ -7,9 +7,11 @@ the flat vector are immediately visible to the forward pass.  Hidden
 layers use ReLU (subgradient 0 at 0), the output layer is linear, and
 the loss is mean softmax cross-entropy.
 
-Checkpoint format (little-endian): 8-byte magic ``b"GDMLPv1\\0"``, int64
+Checkpoint format (little-endian): 8-byte magic ``b"GDMLPv2\\0"``, int64
 count of layer sizes, the layer sizes as int64, the init seed as int64,
-then the parameter payload as float64.
+the per-tensor layout flag as int64 (0 or 1), then the parameter payload
+as float64 and nothing after it.  Version-1 files (magic
+``b"GDMLPv1\\0"``, no flag field) still load, with the fused layout.
 """
 
 from __future__ import annotations
@@ -21,7 +23,8 @@ import numpy as np
 
 from .layerwise import ParamLayout
 
-CHECKPOINT_MAGIC = b"GDMLPv1\0"
+CHECKPOINT_MAGIC = b"GDMLPv2\0"
+CHECKPOINT_MAGIC_V1 = b"GDMLPv1\0"
 
 
 def read_exact(fh, n: int, path) -> bytes:
@@ -33,6 +36,13 @@ def read_exact(fh, n: int, path) -> bytes:
             f"{fh.tell() - len(data)}, found {len(data)}"
         )
     return data
+
+
+def expect_end(fh, path) -> None:
+    """Raise unless ``fh`` is at the end of ``path``."""
+    extra = len(fh.read())
+    if extra:
+        raise ValueError(f"{path}: {extra} trailing bytes after the last field")
 
 
 @dataclass
@@ -234,20 +244,27 @@ class MlpModel:
             for s in self.layer_sizes:
                 fh.write(struct.pack("<q", s))
             fh.write(struct.pack("<q", self.seed))
+            fh.write(struct.pack("<q", int(self.per_tensor_layout)))
             fh.write(self.params.astype("<f8").tobytes())
 
     @classmethod
     def load_checkpoint(cls, path) -> "MlpModel":
         with open(path, "rb") as fh:
             magic = fh.read(len(CHECKPOINT_MAGIC))
-            if magic != CHECKPOINT_MAGIC:
+            if magic not in (CHECKPOINT_MAGIC, CHECKPOINT_MAGIC_V1):
                 raise ValueError(f"{path}: not a model checkpoint: bad magic {magic!r}")
             (n_sizes,) = struct.unpack("<q", read_exact(fh, 8, path))
             sizes = [
                 struct.unpack("<q", read_exact(fh, 8, path))[0] for _ in range(n_sizes)
             ]
             (seed,) = struct.unpack("<q", read_exact(fh, 8, path))
-            model = cls(sizes, seed=seed)
+            per_tensor = 0
+            if magic == CHECKPOINT_MAGIC:
+                (per_tensor,) = struct.unpack("<q", read_exact(fh, 8, path))
+                if per_tensor not in (0, 1):
+                    raise ValueError(f"{path}: layout flag {per_tensor} is not 0 or 1")
+            model = cls(sizes, seed=seed, per_tensor_layout=bool(per_tensor))
             payload = read_exact(fh, model.n_params * 8, path)
             model.params[...] = np.frombuffer(payload, dtype="<f8")
+            expect_end(fh, path)
         return model

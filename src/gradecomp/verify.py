@@ -244,6 +244,136 @@ def suite_constraint_feasibility(
     )
 
 
+BASIS_FAMILIES = (
+    "near_collinear", "extreme_scale", "wide", "zero_column", "dependent_middle"
+)
+
+
+def _adversarial_columns(rng: np.random.Generator, family: str):
+    """One adversarial column collection and the rank it must have
+    (``None`` where rounding decides the rank)."""
+    if family == "near_collinear":
+        # memories around one common gradient, spread 1e-12..1 and
+        # per-memory scales 1e-3..1e3; the basis sees their zero-sum
+        # specific parts, exactly as the trainer builds them
+        dim = int(rng.integers(5, 400))
+        n_mem = int(rng.integers(2, 20))
+        spread = 10.0 ** rng.uniform(-12.0, 0.0)
+        scales = 10.0 ** rng.uniform(-3.0, 3.0, size=n_mem)
+        base = rng.standard_normal(dim)
+        old = [base + spread * s * rng.standard_normal(dim) for s in scales]
+        return decompose(rng.standard_normal(dim), old).specific, None
+    if family == "extreme_scale":
+        dim = int(rng.integers(2, 200))
+        n_cols = int(rng.integers(1, 12))
+        scales = 10.0 ** rng.uniform(-6.0, 6.0, size=n_cols)
+        overall = 10.0 ** rng.uniform(-150.0, 150.0)
+        return rng.standard_normal((dim, n_cols)) * scales * overall, None
+    if family == "wide":
+        dim = int(rng.integers(1, 10))
+        n_cols = dim + int(rng.integers(1, 10))
+        return rng.standard_normal((dim, n_cols)), dim
+    if family == "zero_column":
+        dim = int(rng.integers(2, 200))
+        n_cols = int(rng.integers(1, 12))
+        X = rng.standard_normal((dim, n_cols))
+        X[:, int(rng.integers(0, n_cols))] = 0.0
+        return X, min(dim, n_cols - 1)
+    dim = int(rng.integers(4, 200))
+    n_cols = int(rng.integers(3, min(dim, 12) + 1))
+    X = rng.standard_normal((dim, n_cols))
+    j = int(rng.integers(1, n_cols - 1))
+    X[:, j] = X[:, :j] @ rng.standard_normal(j)
+    return X, n_cols - 1
+
+
+def suite_basis_adversarial(
+    n_instances: int = 500,
+    seed: int = 2029,
+    rel_tol: float = linalg.DEFAULT_RANK_TOL,
+    basis_fn: Callable = None,
+) -> SuiteResult:
+    """The constraint basis must stay orthonormal and span its input on
+    adversarial columns: near-collinear memories, extreme scales, wide
+    input, a zero column and a dependent column in the middle.
+
+    Each instance checks ``|B'B - I| <= 1e-12``, that every input
+    column's residual outside the basis is at most ``rel_tol`` times the
+    largest column norm (plus 1e-13 of it for rounding), that
+    ``rank <= min(n, m)`` (exact where the family fixes it), and that
+    finite input never raises.  The detail counts near-collinear inputs
+    whose basis has as many columns as memories although their columns
+    sum to zero: a rounding-noise direction was admitted.  That is a
+    known open defect of the rank test, reported here, not failed.
+
+    ``basis_fn`` defaults to ``linalg.modified_gram_schmidt``; it is
+    injectable so a broken kernel can be shown to trip the suite.
+    """
+    basis = basis_fn or linalg.modified_gram_schmidt
+    rng = np.random.default_rng(seed)
+    worst_orth = 0.0
+    worst_resid = 0.0
+    noise_rank = 0
+    n_zero_sum = 0
+    for i in range(n_instances):
+        family = BASIS_FAMILIES[i % len(BASIS_FAMILIES)]
+        X, expected_rank = _adversarial_columns(rng, family)
+        n, m = X.shape
+        problem = None
+        try:
+            B = np.asarray(basis(X, rel_tol))
+        except Exception as exc:  # the kernel must not raise on finite input
+            B = None
+            problem = f"raised {type(exc).__name__}: {exc}"
+        if B is not None:
+            k = B.shape[1] if B.ndim == 2 else -1
+            # checked on X scaled to unit max entry, so that norms of
+            # inputs near the overflow threshold stay finite
+            Xs = X / max(float(np.abs(X).max()), np.finfo(float).tiny)
+            max_norm = float(np.linalg.norm(Xs, axis=0).max())
+            if B.shape != (n, k) or not np.isfinite(B).all():
+                problem = f"basis of shape {B.shape} or non-finite entries"
+            elif k > min(n, m) or (expected_rank is not None and k != expected_rank):
+                problem = f"rank {k} for a {n}x{m} input (expected {expected_rank})"
+            else:
+                orth = float(np.abs(B.T @ B - np.eye(k)).max()) if k else 0.0
+                resid = float(np.linalg.norm(Xs - B @ (B.T @ Xs), axis=0).max())
+                resid /= max_norm if max_norm > 0.0 else 1.0
+                worst_orth = max(worst_orth, orth)
+                worst_resid = max(worst_resid, resid)
+                if orth > 1e-12:
+                    problem = f"|B'B - I| = {orth:.3e} exceeds 1e-12"
+                elif resid > rel_tol + 1e-13:
+                    problem = (
+                        f"column residual {resid:.3e} x max norm exceeds "
+                        f"rel_tol {rel_tol:.0e}"
+                    )
+            if family == "near_collinear":
+                n_zero_sum += 1
+                noise_rank += k == m
+        if problem is not None:
+            return SuiteResult(
+                name="basis_adversarial",
+                passed=False,
+                checked=i + 1,
+                detail=f"{family} instance {i}: {problem}",
+                failing_case={
+                    "instance": i,
+                    "family": family,
+                    "rel_tol": rel_tol,
+                    "X": X.tolist(),
+                },
+            )
+    return SuiteResult(
+        "basis_adversarial",
+        True,
+        n_instances,
+        f"max |B'B - I| = {worst_orth:.3e}, max column residual = "
+        f"{worst_resid:.3e} x max norm; {noise_rank}/{n_zero_sum} zero-sum "
+        f"inputs got rank m (rounding-noise direction admitted, open defect)",
+    )
+
+
 def run_all_suites(solve_fn: Callable = None) -> list[SuiteResult]:
     return [
         suite_solver_vs_oracle(solve_fn=solve_fn),
@@ -251,4 +381,5 @@ def run_all_suites(solve_fn: Callable = None) -> list[SuiteResult]:
         suite_decomposition_zero_sum(),
         suite_gradient_check(),
         suite_constraint_feasibility(solve_fn=solve_fn),
+        suite_basis_adversarial(),
     ]

@@ -7,7 +7,7 @@ reconstruction identities, which share no code with the implementation.
 import numpy as np
 import pytest
 
-from gradecomp import linalg
+from gradecomp import linalg, verify
 
 RT2 = np.sqrt(2.0)
 
@@ -89,6 +89,117 @@ class TestModifiedGramSchmidt:
             linalg.modified_gram_schmidt(np.eye(2), rel_tol=0.0)
         with pytest.raises(ValueError):
             linalg.modified_gram_schmidt(np.array([[np.nan], [1.0]]))
+
+
+def assert_gram_schmidt_of(B, cols):
+    """``B`` is the sign-fixed Gram-Schmidt basis of ``cols``, in order,
+    checked against numpy's QR of exactly those columns."""
+    Q = np.linalg.qr(cols)[0]
+    assert B.shape == Q.shape
+    np.testing.assert_allclose(np.abs(B.T @ Q), np.eye(Q.shape[1]), atol=1e-10)
+    for j in range(B.shape[1]):
+        first = B[np.flatnonzero(np.abs(B[:, j]) > 1e-12)[0], j]
+        assert first > 0.0
+
+
+def loop_gram_schmidt(X, rel_tol=linalg.DEFAULT_RANK_TOL):
+    """Reference: column-by-column Gram-Schmidt with two orthogonalization
+    passes and the same drop rule as the kernel."""
+    max_norm = np.linalg.norm(X, axis=0).max()
+    cols = []
+    for x in X.T:
+        v = x.copy()
+        for _ in range(2):
+            for b in cols:
+                v -= (b @ v) * b
+        norm = np.linalg.norm(v)
+        if norm >= rel_tol * max_norm:
+            cols.append(v / norm)
+    return np.column_stack(cols) if cols else np.zeros((X.shape[0], 0))
+
+
+class TestBasisContract:
+    """Rank decisions and column order of the basis on structured input."""
+
+    def test_dependent_column_in_the_middle_is_skipped(self):
+        rng = np.random.default_rng(120)
+        for _ in range(20):
+            a, b, c = rng.standard_normal((3, 12))
+            X = np.column_stack([a, b, 2.0 * a - 3.0 * b, c])
+            B = linalg.modified_gram_schmidt(X)
+            assert_gram_schmidt_of(B, X[:, [0, 1, 3]])
+
+    def test_trailing_zero_sum_column_is_dropped(self):
+        rng = np.random.default_rng(121)
+        for _ in range(20):
+            raw = rng.standard_normal((15, 4))
+            X = raw - raw.mean(axis=1, keepdims=True)  # columns sum to zero
+            B = linalg.modified_gram_schmidt(X)
+            assert_gram_schmidt_of(B, X[:, :3])
+
+    def test_wide_input_keeps_the_first_n_columns(self):
+        rng = np.random.default_rng(122)
+        for n, m in ((1, 3), (3, 5), (4, 9)):
+            X = rng.standard_normal((n, m))
+            B = linalg.modified_gram_schmidt(X)
+            assert_gram_schmidt_of(B, X[:, :n])
+
+    def test_leading_zero_column_is_dropped(self):
+        rng = np.random.default_rng(123)
+        X = np.column_stack([np.zeros(10), rng.standard_normal((10, 2))])
+        B = linalg.modified_gram_schmidt(X)
+        assert_gram_schmidt_of(B, X[:, 1:])
+
+    def test_rank_matches_the_loop_on_near_collinear_memories(self):
+        # zero-sum specific gradients of memories spread 1e-12..1 around one
+        # gradient: the rank decision is the loop's, including the inputs
+        # where both admit a rounding-noise direction (rank m)
+        rng = np.random.default_rng(125)
+        for _ in range(200):
+            n, m = int(rng.integers(5, 300)), int(rng.integers(2, 12))
+            spread = 10.0 ** rng.uniform(-12.0, 0.0)
+            old = rng.standard_normal(n)[:, None] + spread * rng.standard_normal((n, m))
+            X = old - old.mean(axis=1, keepdims=True)
+            assert linalg.modified_gram_schmidt(X).shape == loop_gram_schmidt(X).shape
+
+    def test_directions_match_the_loop_on_well_conditioned_input(self):
+        rng = np.random.default_rng(126)
+        for _ in range(50):
+            n, m = int(rng.integers(20, 300)), int(rng.integers(1, 12))
+            X = rng.standard_normal((n, m)) * 10.0 ** rng.uniform(-3.0, 3.0, size=m)
+            B = linalg.modified_gram_schmidt(X)
+            B_ref = loop_gram_schmidt(X)
+            assert B.shape == B_ref.shape
+            np.testing.assert_allclose(np.abs(B.T @ B_ref), np.eye(m), atol=1e-10)
+
+    def test_structured_input_is_not_mutated(self):
+        rng = np.random.default_rng(124)
+        a, b = rng.standard_normal((2, 6))
+        for cols in ([a, a + b, b, np.zeros(6)], [a[:2], b[:2], a[:2] - b[:2]]):
+            for order in ("C", "F"):
+                X = np.array(np.column_stack(cols), order=order)
+                X0 = X.copy()
+                linalg.modified_gram_schmidt(X)
+                assert np.array_equal(X, X0)
+
+    def test_adversarial_suite_passes(self):
+        res = verify.suite_basis_adversarial()
+        assert res.passed, res.detail
+        assert "zero-sum inputs got rank m" in res.detail
+
+    def test_adversarial_suite_trips_on_broken_kernels(self):
+        def single_cholesky_pass(X, rel_tol):
+            # no rank test and no second pass: loses orthogonality
+            L = np.linalg.cholesky(X.T @ X)
+            return X @ np.linalg.inv(L).T
+
+        def drops_too_much(X, rel_tol):
+            return linalg.modified_gram_schmidt(X, rel_tol * 1e4)
+
+        for broken in (single_cholesky_pass, drops_too_much):
+            res = verify.suite_basis_adversarial(basis_fn=broken)
+            assert not res.passed
+            assert res.failing_case is not None
 
 
 class TestGramPca:

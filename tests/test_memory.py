@@ -170,3 +170,13 @@ class TestCoreset:
             with pytest.raises(ValueError, match="truncated") as err:
                 load_memory_snapshot(path)
             assert str(path) in str(err.value)
+
+    def test_snapshot_rejects_trailing_bytes(self, tmp_path):
+        coreset = Coreset()
+        coreset.add(update_memory(batch_of(5), m=4, task_id=0))
+        path = tmp_path / "memories.bin"
+        save_memory_snapshot(coreset, path)
+        path.write_bytes(path.read_bytes() + b"\x00" * 3)
+        with pytest.raises(ValueError, match="3 trailing bytes") as err:
+            load_memory_snapshot(path)
+        assert str(path) in str(err.value)

@@ -5,6 +5,8 @@ pass against an independent hand-rolled recomputation; both oracles live
 in this file and share nothing with the implementation.
 """
 
+import struct
+
 import numpy as np
 import pytest
 
@@ -220,6 +222,33 @@ class TestDeterminismAndCheckpoint:
             with pytest.raises(ValueError, match="truncated") as err:
                 MlpModel.load_checkpoint(path)
             assert str(path) in str(err.value)
+
+    def test_checkpoint_keeps_per_tensor_layout(self, tmp_path):
+        for per_tensor in (False, True):
+            model = MlpModel([3, 4, 2], seed=1, per_tensor_layout=per_tensor)
+            path = tmp_path / f"model_{per_tensor}.ckpt"
+            model.save_checkpoint(path)
+            loaded = MlpModel.load_checkpoint(path)
+            assert loaded.per_tensor_layout is per_tensor
+            assert loaded.layout == model.layout
+            assert np.array_equal(loaded.params, model.params)
+
+    def test_version_one_checkpoint_loads_fused(self, tmp_path):
+        model = MlpModel([3, 6, 2], seed=5)
+        path = tmp_path / "v1.ckpt"
+        header = struct.pack("<4q", 3, 3, 6, 2) + struct.pack("<q", 5)
+        path.write_bytes(b"GDMLPv1\0" + header + model.params.astype("<f8").tobytes())
+        loaded = MlpModel.load_checkpoint(path)
+        assert loaded.per_tensor_layout is False
+        assert np.array_equal(loaded.params, model.params)
+
+    def test_checkpoint_rejects_trailing_bytes(self, tmp_path):
+        path = tmp_path / "model.ckpt"
+        MlpModel([3, 6, 2], seed=5).save_checkpoint(path)
+        path.write_bytes(path.read_bytes() + b"junk")
+        with pytest.raises(ValueError, match="4 trailing bytes") as err:
+            MlpModel.load_checkpoint(path)
+        assert str(path) in str(err.value)
 
     def test_per_tensor_layout_segments(self):
         fused = MlpModel([3, 4, 2], seed=1)
