@@ -5,9 +5,10 @@ symmetric eigensolver), and matrix-free null-space projection.
 ``modified_gram_schmidt`` keeps the Gram-Schmidt contract (columns taken
 left to right, a column dropped when its residual against the kept ones
 falls below ``rel_tol`` times the largest column norm) but computes it
-with one LAPACK Householder QR of the input, a triangular inverse
-applied as one matrix product, and one Cholesky re-orthogonalization
-pass; no Python loop runs over the rows.
+with one LAPACK Householder QR of the input whose reflectors are
+accumulated in compact WY form: one Gram matrix of the reflectors, one
+small triangular solve and one matrix product; no Python loop runs over
+the rows.
 
 All kernels work on plain float64 numpy arrays.  Vectors are 1-D arrays;
 bases and column collections are 2-D arrays whose columns are the vectors
@@ -31,26 +32,20 @@ def _as_matrix(X) -> np.ndarray:
     return X
 
 
-def _fix_sign(v: np.ndarray) -> np.ndarray:
-    """Make the first entry of non-negligible magnitude positive, in place."""
-    for x in v:
-        if abs(x) > 1e-12:
-            if x < 0.0:
-                v *= -1.0
-            break
-    return v
+def _leading_entries(P: np.ndarray) -> np.ndarray:
+    """First entry of magnitude above 1e-12 in each column of ``P`` (the
+    first entry where a column has none)."""
+    big = np.abs(P) > 1e-12
+    return P[big.argmax(axis=0), np.arange(P.shape[1])]
+
+
+def _signs(lead: np.ndarray) -> np.ndarray:
+    """-1.0 where a leading entry is negative, else 1.0."""
+    return np.where(lead < -1e-12, -1.0, 1.0)
 
 
 def empty_basis(n_rows: int) -> np.ndarray:
     return np.zeros((n_rows, 0))
-
-
-def _column_norms(R: np.ndarray) -> np.ndarray:
-    """Euclidean norms of the columns of ``R``, safe from over- and underflow."""
-    scale = float(np.abs(R).max())
-    if scale == 0.0:
-        return np.zeros(R.shape[1])
-    return scale * np.sqrt(((R / scale) ** 2).sum(axis=0))
 
 
 def modified_gram_schmidt(X, rel_tol: float = DEFAULT_RANK_TOL) -> np.ndarray:
@@ -61,24 +56,34 @@ def modified_gram_schmidt(X, rel_tol: float = DEFAULT_RANK_TOL) -> np.ndarray:
     ``rel_tol`` times the largest input column norm.  Each output column
     has its first entry of magnitude above 1e-12 positive.
 
-    Algorithm (Householder QR, then one Cholesky re-orthogonalization):
+    Algorithm (one Householder QR, its reflectors accumulated in compact
+    WY form):
 
-    1. ``R = qr(X, "r")`` (LAPACK).  ``|R[j, j]|`` is the Gram-Schmidt
-       residual of column j against columns ``0..j-1``, and the column
-       norms of ``R`` equal those of ``X``.
+    1. LAPACK ``geqrf`` through ``qr(X, "raw")`` gives ``R`` and the
+       reflectors ``H_i = I - tau_i v_i v_i'``.  ``|R[j, j]|`` is the
+       Gram-Schmidt residual of column j against columns ``0..j-1``, and
+       the column norms of ``R`` equal those of ``X``.
     2. The first column whose residual is below the threshold is
        dropped and the small ``R`` without it is refactored, so later
        residuals are taken against the kept columns only; repeat.  At
-       most ``n_rows`` columns can be kept.
-    3. ``U = X @ W`` with ``W[kept] = inv(R_kept)``; one GEMM on ``X``.
-    4. ``B = U @ inv(L).T`` with ``L = cholesky(U.T @ U)`` restores the
-       orthogonality lost to ill-conditioning in step 3.  The residual
-       floor of step 2 keeps ``U`` far enough from rank deficiency for
-       the factorization to exist.
+       most ``n_rows`` columns can be kept.  ``C`` is an orthonormal
+       basis of ``R[:, kept]``, in order: the leading columns of the
+       identity when only trailing columns were dropped, else the Q of
+       a QR of that small matrix.
+    3. ``Q = H_0 ... H_{r-1} = I - V T V'`` with
+       ``T^-1 = striu(V'V) + diag(1/tau)`` (the UT transform), so
+       ``B = Q [C; 0] = [C; 0] - V (T V[:r]' C)``: one Gram matrix of the
+       reflectors, one small triangular solve and one GEMM on ``V``.
+
+    ``B`` is orthonormal and spans the kept columns to working precision
+    whatever the conditioning of ``X``, because no triangular factor is
+    inverted against ``X``.  The column signs are decided on the first
+    row of ``B`` and folded into the GEMM.
 
     Returns a C-contiguous ``(n_rows, k)`` matrix ``B`` with orthonormal
     columns spanning the kept columns.  Empty or all-zero input yields
-    a zero-column matrix.  ``X`` is never modified.
+    a zero-column matrix.  ``X`` is never modified.  Column norms must
+    stay below the float64 overflow threshold (entries below ~1e150).
     """
     if rel_tol <= 0.0:
         raise ValueError("rel_tol must be positive")
@@ -89,40 +94,61 @@ def modified_gram_schmidt(X, rel_tol: float = DEFAULT_RANK_TOL) -> np.ndarray:
     if not np.isfinite(X).all():
         raise ValueError("input columns must be finite")
 
-    R = np.linalg.qr(X, mode="r")
-    max_norm = float(_column_norms(R).max())
+    h, tau = np.linalg.qr(X, mode="raw")
+    F = h.T  # R on and above the diagonal, the reflectors below it
+    r = tau.shape[0]
+    R = np.triu(F[:r])
+    max_norm = float(np.sqrt((R * R).sum(axis=0).max()))
     if max_norm == 0.0:
         return empty_basis(n_rows)
     drop_below = rel_tol * max_norm
 
-    kept = np.arange(n_cols)
-    start = 0
-    while True:
-        residuals = np.abs(np.diagonal(R)[start:])
-        small = np.flatnonzero(residuals < drop_below)
-        if small.size == 0:
-            break
-        j = start + int(small[0])
-        kept = np.delete(kept, j)
-        if j == kept.size:
-            R = R[:j, :j]
+    # the residual test runs on Python floats, one per column: cheaper
+    # than a numpy call per step on so few values
+    kept = list(range(n_cols))
+    R_kept = R
+    diag = np.diagonal(R).tolist()
+    j = 0
+    while j < len(diag):
+        if abs(diag[j]) >= drop_below:
+            j += 1
+            continue
+        del kept[j]
+        if j == len(kept):
+            R_kept = R_kept[:j, :j]
+            diag = diag[:j]
         else:
             # columns before j are already triangular; refactoring keeps
             # their residuals and recomputes the later ones without j
-            R = np.linalg.qr(np.delete(R, j, axis=1), mode="r")
-        start = j
-    k = min(kept.size, n_rows)
+            R_kept = np.linalg.qr(np.delete(R_kept, j, axis=1), mode="r")
+            diag = np.diagonal(R_kept).tolist()
+    k = min(len(kept), n_rows)
     if k == 0:
         return empty_basis(n_rows)
     kept = kept[:k]
+    C = np.eye(r, k) if kept[-1] == k - 1 else np.linalg.qr(R[:, kept])[0]
 
-    W = np.zeros((n_cols, k))
-    W[kept] = np.linalg.inv(R[:k, :k])
-    U = X @ W
-    B = U @ np.linalg.inv(np.linalg.cholesky(U.T @ U)).T
-    for j in range(k):
-        _fix_sign(B[:, j])
-    return np.ascontiguousarray(B)
+    # V is unit lower trapezoidal; a reflector with tau = 0 is the
+    # identity and gets a zero column
+    V = F[:, :r]
+    live = tau != 0.0
+    V[:r] -= R[:, :r]
+    np.fill_diagonal(V[:r], live)
+    T_inv = np.triu(V.T @ V, 1)
+    np.fill_diagonal(T_inv, 1.0 / np.where(live, tau, 1.0))
+    Y = np.linalg.solve(T_inv, V[:r].T @ C)
+
+    # column signs from the first row of B, folded into the product
+    lead = C[0] - V[0] @ Y
+    if np.abs(lead).min() > 1e-12:
+        signs = np.sign(lead)
+        C *= signs
+        B = V @ (Y * -signs)
+        B[:r] += C
+        return B
+    B = V @ -Y
+    B[:r] += C
+    return B * _signs(_leading_entries(B))
 
 
 def gram_pca(G, K: int, rel_tol: float = DEFAULT_RANK_TOL) -> np.ndarray:
@@ -164,10 +190,11 @@ def gram_pca(G, K: int, rel_tol: float = DEFAULT_RANK_TOL) -> np.ndarray:
         if norm == 0.0:
             break
         u /= norm
-        cols.append(_fix_sign(u))
+        cols.append(u)
     if not cols:
         return empty_basis(n_rows)
-    return np.column_stack(cols)
+    P = np.column_stack(cols)
+    return P * _signs(_leading_entries(P))
 
 
 def apply_projection(B, v) -> np.ndarray:

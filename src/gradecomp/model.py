@@ -10,8 +10,7 @@ the loss is mean softmax cross-entropy.
 Checkpoint format (little-endian): 8-byte magic ``b"GDMLPv2\\0"``, int64
 count of layer sizes, the layer sizes as int64, the init seed as int64,
 the per-tensor layout flag as int64 (0 or 1), then the parameter payload
-as float64 and nothing after it.  Version-1 files (magic
-``b"GDMLPv1\\0"``, no flag field) still load, with the fused layout.
+as float64 and nothing after it.
 """
 
 from __future__ import annotations
@@ -24,7 +23,6 @@ import numpy as np
 from .layerwise import ParamLayout
 
 CHECKPOINT_MAGIC = b"GDMLPv2\0"
-CHECKPOINT_MAGIC_V1 = b"GDMLPv1\0"
 
 
 def read_exact(fh, n: int, path) -> bytes:
@@ -251,18 +249,16 @@ class MlpModel:
     def load_checkpoint(cls, path) -> "MlpModel":
         with open(path, "rb") as fh:
             magic = fh.read(len(CHECKPOINT_MAGIC))
-            if magic not in (CHECKPOINT_MAGIC, CHECKPOINT_MAGIC_V1):
+            if magic != CHECKPOINT_MAGIC:
                 raise ValueError(f"{path}: not a model checkpoint: bad magic {magic!r}")
             (n_sizes,) = struct.unpack("<q", read_exact(fh, 8, path))
             sizes = [
                 struct.unpack("<q", read_exact(fh, 8, path))[0] for _ in range(n_sizes)
             ]
             (seed,) = struct.unpack("<q", read_exact(fh, 8, path))
-            per_tensor = 0
-            if magic == CHECKPOINT_MAGIC:
-                (per_tensor,) = struct.unpack("<q", read_exact(fh, 8, path))
-                if per_tensor not in (0, 1):
-                    raise ValueError(f"{path}: layout flag {per_tensor} is not 0 or 1")
+            (per_tensor,) = struct.unpack("<q", read_exact(fh, 8, path))
+            if per_tensor not in (0, 1):
+                raise ValueError(f"{path}: layout flag {per_tensor} is not 0 or 1")
             model = cls(sizes, seed=seed, per_tensor_layout=bool(per_tensor))
             payload = read_exact(fh, model.n_params * 8, path)
             model.params[...] = np.frombuffer(payload, dtype="<f8")

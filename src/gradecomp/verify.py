@@ -245,7 +245,8 @@ def suite_constraint_feasibility(
 
 
 BASIS_FAMILIES = (
-    "near_collinear", "extreme_scale", "wide", "zero_column", "dependent_middle"
+    "near_collinear", "extreme_scale", "wide", "zero_column", "dependent_middle",
+    "graded_triangular",
 )
 
 
@@ -267,8 +268,7 @@ def _adversarial_columns(rng: np.random.Generator, family: str):
         dim = int(rng.integers(2, 200))
         n_cols = int(rng.integers(1, 12))
         scales = 10.0 ** rng.uniform(-6.0, 6.0, size=n_cols)
-        overall = 10.0 ** rng.uniform(-150.0, 150.0)
-        return rng.standard_normal((dim, n_cols)) * scales * overall, None
+        return rng.standard_normal((dim, n_cols)) * scales, None
     if family == "wide":
         dim = int(rng.integers(1, 10))
         n_cols = dim + int(rng.integers(1, 10))
@@ -279,12 +279,24 @@ def _adversarial_columns(rng: np.random.Generator, family: str):
         X = rng.standard_normal((dim, n_cols))
         X[:, int(rng.integers(0, n_cols))] = 0.0
         return X, min(dim, n_cols - 1)
-    dim = int(rng.integers(4, 200))
-    n_cols = int(rng.integers(3, min(dim, 12) + 1))
-    X = rng.standard_normal((dim, n_cols))
-    j = int(rng.integers(1, n_cols - 1))
-    X[:, j] = X[:, :j] @ rng.standard_normal(j)
-    return X, n_cols - 1
+    if family == "dependent_middle":
+        dim = int(rng.integers(4, 200))
+        n_cols = int(rng.integers(3, min(dim, 12) + 1))
+        X = rng.standard_normal((dim, n_cols))
+        j = int(rng.integers(1, n_cols - 1))
+        X[:, j] = X[:, :j] @ rng.standard_normal(j)
+        return X, n_cols - 1
+    # Kahan-type: an orthonormal frame times the triangle diag(s^j) (I - c N)
+    # with N strictly upper ones.  Its Gram-Schmidt residuals are the
+    # diagonal s^j, none below 1e-9, yet its condition number grows like
+    # ((1 + c) / s)^m, up to about 1e20.
+    n_cols = int(rng.integers(2, 41))
+    dim = n_cols + int(rng.integers(0, 300))
+    s = (10.0 ** rng.uniform(-9.0, 0.0)) ** (1.0 / (n_cols - 1))
+    c = rng.uniform(0.5, 50.0)
+    T = np.eye(n_cols) - c * np.triu(np.ones((n_cols, n_cols)), 1)
+    frame = np.linalg.qr(rng.standard_normal((dim, n_cols)))[0]
+    return frame @ (s ** np.arange(n_cols)[:, None] * T), None
 
 
 def suite_basis_adversarial(
@@ -295,7 +307,9 @@ def suite_basis_adversarial(
 ) -> SuiteResult:
     """The constraint basis must stay orthonormal and span its input on
     adversarial columns: near-collinear memories, extreme scales, wide
-    input, a zero column and a dependent column in the middle.
+    input, a zero column, a dependent column in the middle, and graded
+    Kahan-type triangles whose condition number far exceeds the inverse
+    of their smallest Gram-Schmidt residual.
 
     Each instance checks ``|B'B - I| <= 1e-12``, that every input
     column's residual outside the basis is at most ``rel_tol`` times the
@@ -327,17 +341,14 @@ def suite_basis_adversarial(
             problem = f"raised {type(exc).__name__}: {exc}"
         if B is not None:
             k = B.shape[1] if B.ndim == 2 else -1
-            # checked on X scaled to unit max entry, so that norms of
-            # inputs near the overflow threshold stay finite
-            Xs = X / max(float(np.abs(X).max()), np.finfo(float).tiny)
-            max_norm = float(np.linalg.norm(Xs, axis=0).max())
+            max_norm = float(np.linalg.norm(X, axis=0).max())
             if B.shape != (n, k) or not np.isfinite(B).all():
                 problem = f"basis of shape {B.shape} or non-finite entries"
             elif k > min(n, m) or (expected_rank is not None and k != expected_rank):
                 problem = f"rank {k} for a {n}x{m} input (expected {expected_rank})"
             else:
                 orth = float(np.abs(B.T @ B - np.eye(k)).max()) if k else 0.0
-                resid = float(np.linalg.norm(Xs - B @ (B.T @ Xs), axis=0).max())
+                resid = float(np.linalg.norm(X - B @ (B.T @ X), axis=0).max())
                 resid /= max_norm if max_norm > 0.0 else 1.0
                 worst_orth = max(worst_orth, orth)
                 worst_resid = max(worst_resid, resid)

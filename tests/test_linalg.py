@@ -172,6 +172,32 @@ class TestBasisContract:
             assert B.shape == B_ref.shape
             np.testing.assert_allclose(np.abs(B.T @ B_ref), np.eye(m), atol=1e-10)
 
+    def test_graded_triangle_stays_spanned(self):
+        # Kahan-type columns: every Gram-Schmidt residual is at least 1e-6,
+        # but the condition number is near 1e17; inverting the triangular
+        # factor against X would leave columns far outside the basis
+        rng = np.random.default_rng(127)
+        m = 19
+        s = 1e-6 ** (1.0 / (m - 1))
+        T = np.eye(m) - 10.0 * np.triu(np.ones((m, m)), 1)
+        for n in (19, 60, 300):
+            frame = np.linalg.qr(rng.standard_normal((n, m)))[0]
+            X = frame @ (s ** np.arange(m)[:, None] * T)
+            B = linalg.modified_gram_schmidt(X)
+            assert B.shape == (n, m)
+            np.testing.assert_allclose(B.T @ B, np.eye(m), atol=1e-13)
+            resid = np.linalg.norm(X - B @ (B.T @ X), axis=0).max()
+            assert resid <= 1e-12 * np.linalg.norm(X, axis=0).max()
+            assert_gram_schmidt_of(B, X)
+
+    def test_zero_leading_rows_fix_signs_further_down(self):
+        rng = np.random.default_rng(128)
+        X = np.vstack([np.zeros((3, 4)), -np.abs(rng.standard_normal((8, 4)))])
+        B = linalg.modified_gram_schmidt(X)
+        assert B.shape == (11, 4)
+        assert_gram_schmidt_of(B, X)
+        assert np.abs(B[:3]).max() <= 1e-12  # signs come from later rows
+
     def test_structured_input_is_not_mutated(self):
         rng = np.random.default_rng(124)
         a, b = rng.standard_normal((2, 6))
@@ -196,7 +222,17 @@ class TestBasisContract:
         def drops_too_much(X, rel_tol):
             return linalg.modified_gram_schmidt(X, rel_tol * 1e4)
 
-        for broken in (single_cholesky_pass, drops_too_much):
+        def inverts_the_triangle(X, rel_tol):
+            # X inv(R), then one Cholesky pass: orthonormal, but on graded
+            # triangles its span drifts away from the columns
+            R = np.linalg.qr(X, mode="r")
+            keep = np.abs(np.diag(R)) >= rel_tol * np.linalg.norm(X, axis=0).max()
+            if not keep.all():
+                return linalg.modified_gram_schmidt(X, rel_tol)
+            U = X @ np.linalg.inv(R)
+            return U @ np.linalg.inv(np.linalg.cholesky(U.T @ U)).T
+
+        for broken in (single_cholesky_pass, drops_too_much, inverts_the_triangle):
             res = verify.suite_basis_adversarial(basis_fn=broken)
             assert not res.passed
             assert res.failing_case is not None

@@ -5,8 +5,6 @@ pass against an independent hand-rolled recomputation; both oracles live
 in this file and share nothing with the implementation.
 """
 
-import struct
-
 import numpy as np
 import pytest
 
@@ -232,15 +230,6 @@ class TestDeterminismAndCheckpoint:
             assert loaded.per_tensor_layout is per_tensor
             assert loaded.layout == model.layout
             assert np.array_equal(loaded.params, model.params)
-
-    def test_version_one_checkpoint_loads_fused(self, tmp_path):
-        model = MlpModel([3, 6, 2], seed=5)
-        path = tmp_path / "v1.ckpt"
-        header = struct.pack("<4q", 3, 3, 6, 2) + struct.pack("<q", 5)
-        path.write_bytes(b"GDMLPv1\0" + header + model.params.astype("<f8").tobytes())
-        loaded = MlpModel.load_checkpoint(path)
-        assert loaded.per_tensor_layout is False
-        assert np.array_equal(loaded.params, model.params)
 
     def test_checkpoint_rejects_trailing_bytes(self, tmp_path):
         path = tmp_path / "model.ckpt"
