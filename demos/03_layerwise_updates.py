@@ -26,7 +26,12 @@ batches = [
 new_batch = Batch(rng.standard_normal((12, 16)) * 2, rng.integers(0, 4, size=12))
 
 _, g = model.loss_and_grad(new_batch)
-old = [model.loss_and_grad(b)[1] for b in batches]
+# all memory gradients in one stacked pass: an (m, n) matrix, one row each
+stacked = Batch(
+    np.concatenate([b.inputs for b in batches]),
+    np.concatenate([b.labels for b in batches]),
+)
+_, old = model.loss_and_grad(stacked, groups=len(batches))
 bundle = decompose(g, old)
 
 print("per-layer gradient magnitudes of the new-task gradient:")

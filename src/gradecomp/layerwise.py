@@ -104,11 +104,13 @@ def layerwise_solve(
 ) -> UpdateResult:
     """Apply ``rule`` independently to every layout segment of ``bundle``.
 
-    Each segment sees the row slices of the new-task, shared, specific
-    (when present) and old-task gradients restricted to that segment (the
-    mean and the subtraction commute with slicing).  The per-segment
-    updates are concatenated in layout order; the alignment is summed and
-    the branch is ``project_only`` only if every segment projected.
+    Each segment sees the new-task, shared and specific (when present)
+    gradients and the ``(m, n)`` old-task matrix restricted to that
+    segment's coordinates: one slice of each, the old-task one an
+    ``(m, length)`` view (the mean and the subtraction commute with
+    slicing).  The per-segment updates are concatenated in layout order;
+    the alignment is summed and the branch is ``project_only`` only if
+    every segment projected.
     """
     if bundle.shared is None:
         raise ValueError("bundle has no old-task gradients to constrain against")
@@ -116,7 +118,7 @@ def layerwise_solve(
         raise ValueError(
             f"bundle dimension {bundle.dim} does not match layout total {layout.total}"
         )
-    specific = bundle.specific
+    specific, old = bundle.specific, bundle.old_grads
     w = np.empty(layout.total)
     per_layer: list[tuple[str, UpdateResult]] = []
     total_alignment = 0.0
@@ -126,7 +128,7 @@ def layerwise_solve(
         res = rule(
             GradientBundle(
                 new_grad=bundle.new_grad[sl],
-                old_grads=[gi[sl] for gi in bundle.old_grads],
+                old_grads=old[:, sl],
                 shared=bundle.shared[sl],
                 specific=None if specific is None else specific[sl, :],
             )

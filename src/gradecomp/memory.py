@@ -77,7 +77,10 @@ def update_memory(
 
     ``ring`` keeps the last ``m`` examples in stream order; ``reservoir``
     keeps a uniform sample of size ``min(m, n)`` built by the classic
-    one-pass replacement algorithm from the given seed.
+    one-pass replacement algorithm from the given seed.  A ring memory
+    holds read-only views of the task's rows rather than a copy, so the
+    coreset adds no second copy of data the stream already holds; the
+    reservoir sample is a copy.
     """
     if m < 1:
         raise ValueError("memory capacity must be at least 1")
@@ -88,7 +91,7 @@ def update_memory(
         raise ValueError("task data is empty")
 
     if policy == POLICY_RING or n <= m:
-        keep = np.arange(max(0, n - m), n)
+        keep = slice(max(0, n - m), n)
     else:
         rng = np.random.default_rng(seed)
         reservoir = list(range(m))
@@ -97,12 +100,9 @@ def update_memory(
             if j < m:
                 reservoir[j] = i
         keep = np.asarray(reservoir)
-    return EpisodicMemory(
-        task_id=task_id,
-        capacity=m,
-        features=task_data.inputs[keep].copy(),
-        labels=task_data.labels[keep].copy(),
-    )
+    features, labels = task_data.inputs[keep], task_data.labels[keep]
+    features.flags.writeable = labels.flags.writeable = False
+    return EpisodicMemory(task_id=task_id, capacity=m, features=features, labels=labels)
 
 
 def sample_memory_batch(

@@ -5,7 +5,10 @@ Parameters live in one contiguous float64 array; weight matrices and
 bias vectors are reshaped views into it, so solver updates applied to
 the flat vector are immediately visible to the forward pass.  Hidden
 layers use ReLU (subgradient 0 at 0), the output layer is linear, and
-the loss is mean softmax cross-entropy.
+the loss is mean softmax cross-entropy.  One backprop serves both the
+new-task gradient (one batch, one ``(n,)`` vector) and the replay
+memories (m stacked equal-sized batches, one ``(m, n)`` matrix whose
+row ``k`` is the gradient of batch ``k``'s own mean loss).
 
 Checkpoint format (little-endian): 8-byte magic ``b"GDMLPv2\\0"``, int64
 count of layer sizes, the layer sizes as int64, the init seed as int64,
@@ -145,8 +148,25 @@ class MlpModel:
                 h = np.maximum(h, 0.0)
         return h
 
-    def loss_and_grad(self, batch: Batch) -> tuple[float, np.ndarray]:
-        """Mean cross-entropy on the batch and its gradient, flat."""
+    def loss_and_grad(
+        self, batch: Batch, groups: int | None = None
+    ) -> tuple[float, np.ndarray] | tuple[np.ndarray, np.ndarray]:
+        """Mean cross-entropy and its flat gradient, for one or many groups.
+
+        With ``groups=None`` the whole batch is one group and the result
+        is ``(loss, grad)``: a float and an ``(n_params,)`` vector.  With
+        ``groups=m`` the rows of ``batch`` are ``m`` consecutive groups of
+        equal size (one sampled batch per replay memory, stacked) and the
+        result is ``(losses, G)``: ``losses[k]`` is group ``k``'s own mean
+        loss and row ``G[k]`` of the C-ordered ``(m, n_params)`` matrix
+        its gradient.  Either way it is one forward pass over every row
+        and one backward pass; the per-group weight gradients come from
+        one batched matmul written straight into the rows of ``G``.  The
+        one-group result does the arithmetic of a plain single-batch
+        backprop bit for bit; a group's row agrees with a call on that
+        group alone to rounding (BLAS may round a tall product differently
+        from a short one).
+        """
         X = batch.inputs
         y = batch.labels
         if X.shape[1] != self.layer_sizes[0]:
@@ -156,49 +176,63 @@ class MlpModel:
                 f"labels must lie in [0, {self.n_classes}), got "
                 f"[{y.min()}, {y.max()}]"
             )
-        n = X.shape[0]
+        m = 1 if groups is None else int(groups)
+        rows = X.shape[0]
+        if m < 1 or rows % m:
+            raise ValueError(
+                f"{rows} rows do not split into {groups} groups of equal size"
+            )
+        bs = rows // m
+        # allocated before the activations: when they are freed next to it,
+        # the next, one-row-larger G fits in the freed space, and the
+        # process does not keep one stale G per memory count resident
+        G = np.empty((m, self.layout.total))
         last = len(self._layers) - 1
 
-        activations = [X]
-        pre = []
+        # inputs of every layer; a hidden layer's ReLU mask is its output > 0
+        inputs = [X]
         h = X
         for i, (W, b) in enumerate(self._layers):
-            z = h @ W + b
-            pre.append(z)
-            h = np.maximum(z, 0.0) if i != last else z
-            activations.append(h)
+            h = h @ W
+            h += b
+            if i != last:
+                np.maximum(h, 0.0, out=h)
+                inputs.append(h)
 
-        logits = activations[-1]
-        shifted = logits - logits.max(axis=1, keepdims=True)
-        exp = np.exp(shifted)
-        sum_exp = exp.sum(axis=1)
-        log_probs = shifted - np.log(sum_exp)[:, None]
-        loss = float(-log_probs[np.arange(n), y].mean())
+        shifted = h
+        shifted -= shifted.max(axis=1, keepdims=True)
+        delta = np.exp(shifted)
+        sum_exp = delta.sum(axis=1)
+        picked = np.arange(rows), y
+        log_probs = shifted[picked] - np.log(sum_exp)
+        losses = -log_probs.reshape(m, bs).mean(axis=1)
 
-        grad = np.zeros(self.layout.total)
-        grad_views = []
-        offset = 0
-        for fan_in, fan_out in zip(self.layer_sizes[:-1], self.layer_sizes[1:]):
-            gW = grad[offset: offset + fan_in * fan_out].reshape(fan_in, fan_out)
-            offset += fan_in * fan_out
-            gb = grad[offset: offset + fan_out]
-            offset += fan_out
-            grad_views.append((gW, gb))
-
-        delta = exp / sum_exp[:, None]
-        delta[np.arange(n), y] -= 1.0
-        delta /= n
+        delta /= sum_exp[:, None]
+        delta[picked] -= 1.0
+        delta /= bs
+        offset = self.layout.total
         for i in range(last, -1, -1):
             W, _ = self._layers[i]
-            gW, gb = grad_views[i]
-            gW[...] = activations[i].T @ delta
-            gb[...] = delta.sum(axis=0)
+            fan_in, fan_out = W.shape
+            bias_at = offset - fan_out
+            offset = bias_at - fan_in * fan_out
+            a = inputs.pop()
+            d = delta.reshape(m, bs, fan_out)
+            gW = G[:, offset:bias_at].reshape(m, fan_in, fan_out)
+            np.matmul(a.reshape(m, bs, fan_in).transpose(0, 2, 1), d, out=gW)
+            d.sum(axis=1, out=G[:, bias_at: bias_at + fan_out])
             if i > 0:
-                delta = (delta @ W.T) * (pre[i - 1] > 0.0)
+                # the hidden output a is read for the last time here, so
+                # the next delta overwrites it after its ReLU mask is taken
+                mask = a > 0.0
+                delta = np.matmul(delta, W.T, out=a)
+                delta *= mask
 
-        if not np.isfinite(loss) or not np.isfinite(grad).all():
+        if not np.isfinite(losses).all() or not np.isfinite(G).all():
             raise FloatingPointError("non-finite loss or gradient")
-        return loss, grad
+        if groups is None:
+            return float(losses[0]), G[0]
+        return losses, G
 
     def apply_update(self, w: np.ndarray, eta: float) -> None:
         """In-place step ``params <- params - eta * w``."""

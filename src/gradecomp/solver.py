@@ -210,10 +210,11 @@ def agem_update(g: np.ndarray, g_bar: np.ndarray) -> np.ndarray:
 
 
 def sgem_update(
-    g: np.ndarray, old_grads: list[np.ndarray], rng: np.random.Generator
+    g: np.ndarray, old_grads: np.ndarray, rng: np.random.Generator
 ) -> np.ndarray:
-    """Constrain against one memory gradient drawn uniformly from ``rng``."""
-    if not old_grads:
+    """Constrain against one row of the ``(m, n)`` memory-gradient matrix
+    (or one vector of a list), drawn uniformly from ``rng``."""
+    if len(old_grads) == 0:
         raise ValueError("need at least one old-task gradient")
     idx = int(rng.integers(len(old_grads)))
     return agem_update(g, old_grads[idx])
@@ -236,24 +237,25 @@ def _power_iteration(M: np.ndarray, iters: int = 100) -> float:
 
 def gem_qp_update(
     g: np.ndarray,
-    old_grads: list[np.ndarray],
+    old_grads: np.ndarray,
     max_iter: int = 100_000,
     tol: float = 1e-10,
 ) -> np.ndarray:
     """Per-memory inequality QP: closest ``w`` to ``g`` with ``g_i' w >= 0``.
 
     Solved through the dual ``min_{v >= 0} 0.5 v' (G G') v + (G g)' v``
-    (rows of ``G`` are the memory gradients) by projected gradient
+    (``G = old_grads``, the ``(m, n)`` matrix whose rows are the memory
+    gradients; a list of vectors is stacked) by projected gradient
     descent with step ``1 / lambda_max(G G')``; the primal update is
     recovered as ``w = g + G' v``.  A single memory reduces to the
     closed-form averaged constraint and is returned directly.
     """
-    if not old_grads:
+    if len(old_grads) == 0:
         raise ValueError("need at least one old-task gradient")
     if len(old_grads) == 1:
         return agem_update(g, old_grads[0])
     g = np.asarray(g, dtype=np.float64)
-    G = np.stack([np.asarray(gi, dtype=np.float64) for gi in old_grads])
+    G = np.asarray(old_grads, dtype=np.float64)
     q = G @ g
     if (q >= 0.0).all():
         return g.copy()

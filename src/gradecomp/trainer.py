@@ -1,11 +1,16 @@
 """Sequential training over a task stream with pluggable update rules.
 
 Each training step computes the new-task gradient, samples one batch
-from every stored memory, decomposes the memory gradients into shared
-and specific components, builds the constraint basis for the selected
-method, solves for the update (on the whole vector or per layer), and
-applies it.  With no stored memories every method degenerates to plain
-SGD.
+from every stored memory, differentiates the stacked batches in one
+pass into an ``(m, n)`` matrix (row ``i`` for memory ``i``, ascending
+task order) that every update rule reads as is, decomposes it into
+shared and specific components, builds the constraint basis for the
+selected method, solves for the update (on the whole vector or per
+layer), and applies it.  The averaged constraint (A-GEM) reads only the mean memory
+gradient, so for it the same pass runs without groups: the gradient of
+the mean loss over the stacked batch is that mean, and no per-memory
+rows are formed.  With no stored memories every method degenerates to
+plain SGD.
 
 All randomness is drawn from generators seeded as ``run_seed + offset``
 with one fixed offset per role, so enabling one feature never perturbs
@@ -151,32 +156,36 @@ class TrainConfig:
 
 @dataclass
 class StepTrace:
+    """What one training step did.
+
+    ``branch``, ``alignment`` and ``degenerate`` come from the solved
+    update and stay ``None`` when no constrained solve ran (no memories,
+    plain fine-tuning, or the single random-memory constraint);
+    ``degenerate`` is true when the reflect branch fell back to the plain
+    projection, in per-layer mode when any segment did.
+    """
+
     task: int = -1
     iteration: int = -1
     loss_new: float = 0.0
     loss_mem_mean: float | None = None
     branch: str | None = None
     alignment: float | None = None
+    degenerate: bool | None = None
     per_layer_alignments: tuple[float, ...] | None = None
     solver_seconds: float = 0.0
     update_norm: float = 0.0
 
 
-def _memory_gradients(
-    model: MlpModel,
-    memories: list[mem.EpisodicMemory],
-    bs_old: int,
-    rng: np.random.Generator,
-) -> tuple[list[np.ndarray], float]:
-    """One sampled batch and gradient per memory, ascending task order."""
-    grads = []
-    losses = []
-    for memory in memories:
-        batch = mem.sample_memory_batch(memory, bs_old, rng)
-        loss, grad = model.loss_and_grad(batch)
-        grads.append(grad)
-        losses.append(loss)
-    return grads, float(np.mean(losses))
+def _memory_batch(
+    memories: list[mem.EpisodicMemory], bs_old: int, rng: np.random.Generator
+) -> Batch:
+    """One sampled batch per memory, stacked in ascending task order."""
+    batches = [mem.sample_memory_batch(memory, bs_old, rng) for memory in memories]
+    return Batch(
+        np.concatenate([b.inputs for b in batches]),
+        np.concatenate([b.labels for b in batches]),
+    )
 
 
 def _agem_rule(bundle: GradientBundle) -> solver.UpdateResult:
@@ -193,7 +202,7 @@ def _agem_rule(bundle: GradientBundle) -> solver.UpdateResult:
 def _gem_rule(bundle: GradientBundle) -> solver.UpdateResult:
     """The per-memory QP; ``project_only`` when no memory conflicts with ``g``."""
     g = bundle.new_grad
-    inactive = all(float(gi @ g) >= 0.0 for gi in bundle.old_grads)
+    inactive = bool((bundle.old_grads @ g >= 0.0).all())
     return solver.UpdateResult(
         w=solver.gem_qp_update(g, bundle.old_grads),
         branch=solver.PROJECT_ONLY if inactive else solver.PROJECT_AND_REFLECT,
@@ -205,25 +214,29 @@ def _solve_for_variant(
     variant: MethodVariant,
     model: MlpModel,
     g: np.ndarray,
-    old_grads: list[np.ndarray],
+    old: np.ndarray,
     sgem_rng: np.random.Generator,
     trace: StepTrace,
 ) -> np.ndarray:
+    """``old`` is the ``(m, n)`` memory-gradient matrix; for A-GEM it is
+    the mean memory gradient alone."""
     if variant.kind == KIND_SGEM:
-        return solver.sgem_update(g, old_grads, sgem_rng)
+        return solver.sgem_update(g, old, sgem_rng)
 
     if variant.kind == KIND_OURS:
-        bundle = decompose(g, old_grads)
+        bundle = decompose(g, old)
         rule = partial(solver.decomposed_update, cfg=variant.solver_cfg)
+    elif variant.kind == KIND_AGEM:
+        bundle = GradientBundle(new_grad=g, shared=old)
+        rule = _agem_rule
     else:
-        bundle = GradientBundle(
-            new_grad=g, old_grads=old_grads, shared=shared_gradient(old_grads)
-        )
-        rule = _agem_rule if variant.kind == KIND_AGEM else _gem_rule
+        bundle = GradientBundle(new_grad=g, old_grads=old, shared=shared_gradient(old))
+        rule = _gem_rule
     res = lw.layerwise_solve(bundle, model.layout, rule) if variant.lgu else rule(bundle)
 
     trace.branch = res.branch
     trace.alignment = res.shared_alignment
+    trace.degenerate = res.degenerate
     if res.per_layer is not None:
         trace.per_layer_alignments = tuple(r.shared_alignment for _, r in res.per_layer)
     return res.w
@@ -251,11 +264,17 @@ def train_step(
     if variant.kind == KIND_SINGLE or not memories:
         w = g
     else:
-        old_grads, trace.loss_mem_mean = _memory_gradients(
-            model, memories, bs_old, mem_rng
-        )
+        stacked = _memory_batch(memories, bs_old, mem_rng)
+        if variant.kind == KIND_AGEM:
+            # the averaged constraint reads only the mean memory gradient:
+            # with equal-sized groups it is the gradient of the mean loss
+            # over the stacked batch, so no per-memory rows are formed
+            trace.loss_mem_mean, old = model.loss_and_grad(stacked)
+        else:
+            losses, old = model.loss_and_grad(stacked, groups=len(memories))
+            trace.loss_mem_mean = float(np.mean(losses))
         start = time.perf_counter()
-        w = _solve_for_variant(variant, model, g, old_grads, sgem_rng, trace)
+        w = _solve_for_variant(variant, model, g, old, sgem_rng, trace)
         trace.solver_seconds = time.perf_counter() - start
         if not np.isfinite(w).all():
             raise FloatingPointError(

@@ -75,7 +75,7 @@ def suite_solver_vs_oracle(
                 failing_case={
                     "instance": i,
                     "g": bundle.new_grad.tolist(),
-                    "old_grads": [x.tolist() for x in bundle.old_grads],
+                    "old_grads": bundle.old_grads.tolist(),
                     "w_solver": res.w.tolist(),
                     "w_oracle": w_ref.tolist(),
                 },
@@ -145,7 +145,7 @@ def suite_decomposition_zero_sum(n_instances: int = 100, seed: int = 2026) -> Su
                 ),
                 failing_case={
                     "instance": i,
-                    "old_grads": [x.tolist() for x in bundle.old_grads],
+                    "old_grads": bundle.old_grads.tolist(),
                 },
             )
     return SuiteResult(
@@ -154,49 +154,75 @@ def suite_decomposition_zero_sum(n_instances: int = 100, seed: int = 2026) -> Su
 
 
 def suite_gradient_check(n_models: int = 20, seed: int = 2027) -> SuiteResult:
-    """Backprop must match central finite differences coordinate-wise."""
+    """Backprop must match central finite differences coordinate-wise.
+
+    Every instance stacks 2-4 groups of equal size and differentiates them
+    in one pass (``loss_and_grad(batch, groups=m)``).  Each group's row
+    must match central differences of that group's own loss, and a pass
+    over that group alone to 1e-13 relative.
+    """
     rng = np.random.default_rng(seed)
     step = 1e-5
-    worst = 0.0
+    worst = worst_alone = 0.0
     for i in range(n_models):
         sizes = [int(rng.integers(3, 7)), int(rng.integers(4, 9)), int(rng.integers(2, 5))]
         model = MlpModel(sizes, seed=int(rng.integers(0, 2**31)))
         n_ex = int(rng.integers(2, 7))
+        groups = int(rng.integers(2, 5))
         batch = Batch(
-            rng.standard_normal((n_ex, sizes[0])) * 2.0,
-            rng.integers(0, sizes[-1], size=n_ex),
+            rng.standard_normal((groups * n_ex, sizes[0])) * 2.0,
+            rng.integers(0, sizes[-1], size=groups * n_ex),
         )
-        _, grad = model.loss_and_grad(batch)
-        fd = np.empty_like(grad)
+        _, G = model.loss_and_grad(batch, groups=groups)
+        fd = np.empty_like(G)
         for j in range(model.n_params):
             orig = model.params[j]
             model.params[j] = orig + step
-            up, _ = model.loss_and_grad(batch)
+            up, _ = model.loss_and_grad(batch, groups=groups)
             model.params[j] = orig - step
-            down, _ = model.loss_and_grad(batch)
+            down, _ = model.loss_and_grad(batch, groups=groups)
             model.params[j] = orig
-            fd[j] = (up - down) / (2.0 * step)
-        floor = max(1e-6, 1e-3 * float(np.abs(fd).max()))
-        rel = float(
-            (np.abs(grad - fd) / np.maximum(np.abs(fd), floor)).max()
+            fd[:, j] = (up - down) / (2.0 * step)
+        alone = np.stack([
+            model.loss_and_grad(
+                Batch(batch.inputs[k * n_ex:(k + 1) * n_ex],
+                      batch.labels[k * n_ex:(k + 1) * n_ex])
+            )[1]
+            for k in range(groups)
+        ])
+        floor = np.maximum(1e-6, 1e-3 * np.abs(fd).max(axis=1, keepdims=True))
+        rel = float((np.abs(G - fd) / np.maximum(np.abs(fd), floor)).max())
+        rel_alone = float(
+            (np.abs(G - alone).max(axis=1)
+             / np.maximum(np.abs(alone).max(axis=1), 1e-300)).max()
         )
         worst = max(worst, rel)
-        if rel > 1e-4:
+        worst_alone = max(worst_alone, rel_alone)
+        if rel > 1e-4 or rel_alone > 1e-13:
             return SuiteResult(
                 name="gradient_check",
                 passed=False,
                 checked=i + 1,
-                detail=f"max relative error {rel:.3e} exceeds 1e-4 on model {i}",
+                detail=(
+                    f"max relative error {rel:.3e} against finite differences "
+                    f"(limit 1e-4), {rel_alone:.3e} against single-group "
+                    f"passes (limit 1e-13) on model {i}"
+                ),
                 failing_case={
                     "instance": i,
                     "layer_sizes": sizes,
                     "model_seed": model.seed,
+                    "groups": groups,
                     "inputs": batch.inputs.tolist(),
                     "labels": batch.labels.tolist(),
                 },
             )
     return SuiteResult(
-        "gradient_check", True, n_models, f"max relative error {worst:.3e}"
+        "gradient_check",
+        True,
+        n_models,
+        f"max relative error {worst:.3e} against finite differences, "
+        f"{worst_alone:.3e} between stacked and single-group passes",
     )
 
 
@@ -233,7 +259,7 @@ def suite_constraint_feasibility(
                 failing_case={
                     "instance": i,
                     "g": bundle.new_grad.tolist(),
-                    "old_grads": [x.tolist() for x in bundle.old_grads],
+                    "old_grads": bundle.old_grads.tolist(),
                 },
             )
     return SuiteResult(

@@ -105,3 +105,48 @@ class TestBundleInvariants:
         a = shared_gradient(old)
         b = shared_gradient(list(old))
         assert np.array_equal(a, b)
+
+
+class TestMatrixInput:
+    """Old-task gradients arrive as one (m, n) matrix; lists still work."""
+
+    def test_shared_gradient_equals_ascending_loop(self):
+        rng = np.random.default_rng(204)
+        for _ in range(50):
+            m, dim = int(rng.integers(1, 20)), int(rng.integers(1, 400))
+            G = rng.standard_normal((m, dim)) * 10.0 ** rng.integers(-3, 4, size=(m, 1))
+            acc = np.zeros(dim)
+            for row in G:
+                acc += row
+            assert shared_gradient(G).tobytes() == (acc / m).tobytes()
+
+    def test_matrix_and_list_decompose_identically(self):
+        rng = np.random.default_rng(205)
+        for _ in range(30):
+            m, dim = int(rng.integers(1, 20)), int(rng.integers(2, 300))
+            G = rng.standard_normal((m, dim))
+            g = rng.standard_normal(dim)
+            a, b = decompose(g, G), decompose(g, list(G))
+            assert a.old_grads.shape == b.old_grads.shape == (m, dim)
+            assert a.shared.tobytes() == b.shared.tobytes()
+            assert np.array_equal(a.specific, b.specific)
+            assert a.n_memories == b.n_memories == m
+
+    def test_matrix_is_kept_and_specific_is_its_transposed_difference(self):
+        rng = np.random.default_rng(206)
+        G = rng.standard_normal((4, 9))
+        bundle = decompose(rng.standard_normal(9), G)
+        assert bundle.old_grads is G
+        assert bundle.specific.shape == (9, 4)
+        assert np.array_equal(bundle.specific, (G - bundle.shared).T)
+
+    def test_column_ordered_matrix_still_sums_in_task_order(self):
+        rng = np.random.default_rng(207)
+        G = rng.standard_normal((19, 50)) * 10.0 ** rng.integers(-8, 9, size=(19, 1))
+        assert shared_gradient(np.asfortranarray(G)).tobytes() == shared_gradient(G).tobytes()
+
+    def test_non_matrix_rejected(self):
+        with pytest.raises(ValueError):
+            shared_gradient(np.zeros((2, 3, 4)))
+        with pytest.raises(ValueError):
+            shared_gradient(np.zeros((0, 3)))

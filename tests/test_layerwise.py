@@ -116,6 +116,25 @@ class TestLayerwiseSolve:
         parts = sum(r.shared_alignment for _, r in res.per_layer)
         assert res.shared_alignment == pytest.approx(parts)
 
+    def test_rule_sees_one_old_gradient_slice_per_segment(self):
+        rng = np.random.default_rng(404)
+        G = rng.standard_normal((5, 12))
+        bundle = decompose(rng.standard_normal(12), G)
+        layout = layout_of(3, 4, 5)
+        seen = []
+
+        def rule(sub):
+            seen.append(sub.old_grads)
+            return decomposed_update(sub)
+
+        layerwise_solve(bundle, layout, rule)
+        assert len(seen) == 3
+        for old, sl in zip(seen, layout.slices()):
+            assert isinstance(old, np.ndarray)
+            assert old.shape == (5, sl.stop - sl.start)
+            assert np.shares_memory(old, G)
+            assert np.array_equal(old, G[:, sl])
+
     def test_requires_old_tasks(self):
         bundle = decompose(np.zeros(4), [])
         with pytest.raises(ValueError):

@@ -26,6 +26,14 @@ class TestUpdateMemory:
         mem = update_memory(batch_of(3), m=2, policy="ring")
         np.testing.assert_array_equal(mem.features[:, 0], [1.0, 2.0])
 
+    def test_ring_views_task_rows_read_only(self):
+        task = batch_of(5)
+        ring = update_memory(task, m=3, policy="ring")
+        assert np.shares_memory(ring.features, task.inputs)
+        assert not ring.features.flags.writeable and not ring.labels.flags.writeable
+        sample = update_memory(task, m=3, policy="reservoir", seed=1)
+        assert not np.shares_memory(sample.features, task.inputs)
+
     def test_small_task_fully_stored(self):
         for policy in ("ring", "reservoir"):
             mem = update_memory(batch_of(4), m=10, policy=policy, seed=3)

@@ -123,6 +123,108 @@ class TestLossAndGrad:
             model.loss_and_grad(Batch(np.zeros((1, 2)), np.array([2])))
 
 
+def plain_backprop(model, batch):
+    """Single-batch backprop written out layer by layer: the reference the
+    one-group pass must reproduce bit for bit."""
+    X, y = batch.inputs, batch.labels
+    n = X.shape[0]
+    layers = []
+    offset = 0
+    for fi, fo in zip(model.layer_sizes[:-1], model.layer_sizes[1:]):
+        W = model.params[offset: offset + fi * fo].reshape(fi, fo)
+        b = model.params[offset + fi * fo: offset + fi * fo + fo]
+        layers.append((W, b, offset))
+        offset += fi * fo + fo
+    acts, pre = [X], []
+    h = X
+    for i, (W, b, _) in enumerate(layers):
+        z = h @ W + b
+        pre.append(z)
+        h = np.maximum(z, 0.0) if i != len(layers) - 1 else z
+        acts.append(h)
+    shifted = h - h.max(axis=1, keepdims=True)
+    exp = np.exp(shifted)
+    sum_exp = exp.sum(axis=1)
+    log_probs = shifted - np.log(sum_exp)[:, None]
+    loss = float(-log_probs[np.arange(n), y].mean())
+    grad = np.zeros(model.n_params)
+    delta = exp / sum_exp[:, None]
+    delta[np.arange(n), y] -= 1.0
+    delta /= n
+    for i in range(len(layers) - 1, -1, -1):
+        W, _, off = layers[i]
+        fi, fo = W.shape
+        grad[off: off + fi * fo] = (acts[i].T @ delta).reshape(-1)
+        grad[off + fi * fo: off + fi * fo + fo] = delta.sum(axis=0)
+        if i > 0:
+            delta = (delta @ W.T) * (pre[i - 1] > 0.0)
+    return loss, grad
+
+
+def random_batch(rng, rows, width, classes):
+    return Batch(rng.standard_normal((rows, width)), rng.integers(0, classes, size=rows))
+
+
+class TestStackedGroups:
+    def test_one_group_is_bit_identical_to_plain_backprop(self):
+        rng = np.random.default_rng(510)
+        for trial in range(40):
+            sizes = [32, 100, 100, 3] if trial % 4 == 0 else [
+                int(rng.integers(2, 9)) for _ in range(int(rng.integers(2, 5)))
+            ]
+            model = MlpModel(sizes, seed=int(rng.integers(1000)))
+            batch = random_batch(rng, int(rng.integers(1, 25)), sizes[0], sizes[-1])
+            ref_loss, ref_grad = plain_backprop(model, batch)
+            loss, grad = model.loss_and_grad(batch)
+            losses, G = model.loss_and_grad(batch, groups=1)
+            assert loss == ref_loss == losses[0]
+            assert grad.tobytes() == ref_grad.tobytes()
+            assert G.shape == (1, model.n_params)
+            assert G[0].tobytes() == ref_grad.tobytes()
+
+    def test_groups_match_single_group_passes(self):
+        # one stacked GEMM may round differently from per-group ones
+        rng = np.random.default_rng(511)
+        for trial in range(20):
+            sizes = [32, 100, 100, 3] if trial % 2 == 0 else [
+                int(rng.integers(2, 9)) for _ in range(int(rng.integers(2, 5)))
+            ]
+            model = MlpModel(sizes, seed=int(rng.integers(1000)))
+            m, bs = int(rng.integers(1, 20)), int(rng.integers(1, 21))
+            batch = random_batch(rng, m * bs, sizes[0], sizes[-1])
+            losses, G = model.loss_and_grad(batch, groups=m)
+            assert losses.shape == (m,)
+            assert G.shape == (m, model.n_params) and G.flags.c_contiguous
+            for k in range(m):
+                rows = slice(k * bs, (k + 1) * bs)
+                loss_k, g_k = model.loss_and_grad(
+                    Batch(batch.inputs[rows], batch.labels[rows])
+                )
+                assert abs(losses[k] - loss_k) <= 1e-13 * abs(loss_k)
+                assert np.abs(G[k] - g_k).max() <= 1e-13 * np.abs(g_k).max()
+
+    def test_unequal_group_sizes_rejected(self):
+        model = MlpModel([2, 3], seed=0)
+        batch = Batch(np.zeros((5, 2)), np.zeros(5, dtype=int))
+        for groups in (2, 0, 6):
+            with pytest.raises(ValueError, match="groups of equal size"):
+                model.loss_and_grad(batch, groups=groups)
+
+    def test_out_of_range_labels_rejected(self):
+        model = MlpModel([2, 3], seed=0)
+        for label in (-1, 3):
+            batch = Batch(np.zeros((4, 2)), np.array([0, 1, 2, label]))
+            with pytest.raises(ValueError, match="labels"):
+                model.loss_and_grad(batch, groups=2)
+
+    def test_non_finite_result_rejected(self):
+        model = MlpModel([2, 3, 2], seed=0)
+        inputs = np.ones((4, 2))
+        inputs[3] = np.inf  # only the second group overflows
+        with np.errstate(all="ignore"), pytest.raises(FloatingPointError):
+            model.loss_and_grad(Batch(inputs, np.zeros(4, dtype=int)), groups=2)
+
+
 class TestApplyUpdate:
     def test_zero_update_no_change(self):
         model = MlpModel([2, 3], seed=1)

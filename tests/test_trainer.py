@@ -5,6 +5,8 @@ gradients with plain numpy (mean, subtraction, QR, projection formula)
 and compares against the update the trainer actually applied.
 """
 
+import json
+
 import numpy as np
 import pytest
 
@@ -126,6 +128,56 @@ class TestTrainStep:
         assert len(trace.per_layer_alignments) == 2
         assert trace.update_norm > 0
 
+    def test_trace_records_degenerate_fallback(self, monkeypatch, tmp_path):
+        # a degenerate reflect is rare in real runs, so one segment's rule
+        # is made to report it; any degenerate segment marks the step
+        from gradecomp import cli, solver
+
+        stream = make_stream(7)
+        memories = [update_memory(stream.tasks[t].train, m=8, task_id=t) for t in range(2)]
+        batch = Batch(stream.tasks[2].train.inputs[:6], stream.tasks[2].train.labels[:6])
+        model = MlpModel([8, 6, 3], seed=8)
+        last_len = model.layout.segments[-1].length
+        real = solver.decomposed_update
+
+        def flagging(bundle, cfg=solver.SolverConfig()):
+            res = real(bundle, cfg)
+            res.degenerate = bundle.dim == last_len
+            return res
+
+        traces = [train_step(model.clone(), batch, memories, variant_ours(lgu=True), 0.1, *rngs())]
+        traces.append(train_step(model.clone(), batch, [], variant_ours(), 0.1, *rngs()))
+        monkeypatch.setattr(solver, "decomposed_update", flagging)
+        traces.append(
+            train_step(model.clone(), batch, memories, variant_ours(lgu=True), 0.1, *rngs())
+        )
+        assert [t.degenerate for t in traces] == [False, None, True]
+        cli.write_run_log(tmp_path / "run_log.jsonl", traces)
+        records = [
+            json.loads(line) for line in (tmp_path / "run_log.jsonl").read_text().splitlines()
+        ]
+        assert [r["degenerate"] for r in records] == [False, None, True]
+
+    def test_memory_gradients_come_from_one_stacked_pass(self, monkeypatch):
+        # one call for the new-task batch, one for all memories stacked;
+        # A-GEM asks for the mean gradient alone (no groups)
+        stream = make_stream(7)
+        memories = [update_memory(stream.tasks[t].train, m=8, task_id=t) for t in range(3)]
+        batch = Batch(stream.tasks[2].train.inputs[:6], stream.tasks[2].train.labels[:6])
+        model = MlpModel([8, 6, 3], seed=8)
+        calls = []
+        real = MlpModel.loss_and_grad
+
+        def counting(self, batch, groups=None):
+            calls.append((len(batch), groups))
+            return real(self, batch, groups)
+
+        monkeypatch.setattr(MlpModel, "loss_and_grad", counting)
+        for variant, groups in ((variant_ours(), 3), (variant_agem(), None)):
+            calls.clear()
+            train_step(model.clone(), batch, memories, variant, 0.1, *rngs())
+            assert calls == [(6, None), (60, groups)]
+
     def test_per_layer_baselines_apply_slice_wise_rules(self):
         from gradecomp import solver
         from gradecomp.decomp import shared_gradient
@@ -138,10 +190,16 @@ class TestTrainStep:
         slices = model.layout.slices()
         _, g = model.loss_and_grad(batch)
         mem_rng = np.random.default_rng(1000)  # the memory stream of rngs()
-        old = [model.loss_and_grad(sample_memory_batch(m, 20, mem_rng))[1] for m in memories]
-        g_bar = shared_gradient(old)
+        sampled = [sample_memory_batch(m, 20, mem_rng) for m in memories]
+        old = [model.loss_and_grad(b)[1] for b in sampled]
+        stacked = Batch(
+            np.concatenate([b.inputs for b in sampled]),
+            np.concatenate([b.labels for b in sampled]),
+        )
+        # A-GEM's mean memory gradient: that of the mean loss over all rows
+        g_bars = {"agem": model.loss_and_grad(stacked)[1], "gem": shared_gradient(old)}
         expected = {
-            "agem": [solver.agem_update(g[sl], g_bar[sl]) for sl in slices],
+            "agem": [solver.agem_update(g[sl], g_bars["agem"][sl]) for sl in slices],
             "gem": [solver.gem_qp_update(g[sl], [o[sl] for o in old]) for sl in slices],
         }
         for variant in (variant_agem(lgu=True), trainer.variant_gem(lgu=True)):
@@ -150,6 +208,7 @@ class TestTrainStep:
             reference.apply_update(np.concatenate(expected[variant.kind]), 0.1)
             assert np.array_equal(stepped.params, reference.params)
             assert trace.branch is not None
+            g_bar = g_bars[variant.kind]
             assert trace.per_layer_alignments == tuple(
                 float(g_bar[sl] @ g[sl]) for sl in slices
             )
