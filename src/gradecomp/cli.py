@@ -194,12 +194,17 @@ def _expect(cond: bool, key: str, message: str) -> None:
         raise ConfigError(key, message)
 
 
+def _is_int(value) -> bool:
+    """A JSON integer; ``true`` and ``false`` load as ``bool``, an ``int`` subclass."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 def _validate(config: dict) -> None:
-    _expect(isinstance(config["seed"], int), "seed", "must be an integer")
+    _expect(_is_int(config["seed"]), "seed", "must be an integer")
     seeds = config["seeds"]
     if seeds is not None:
         _expect(
-            isinstance(seeds, list) and seeds and all(isinstance(s, int) for s in seeds),
+            isinstance(seeds, list) and seeds and all(_is_int(s) for s in seeds),
             "seeds",
             "must be a non-empty list of integers",
         )
@@ -209,34 +214,36 @@ def _validate(config: dict) -> None:
     _expect(data["scenario"] in tasks.SCENARIOS, "data.scenario",
             f"must be one of {tasks.SCENARIOS}")
     for key in ("classes", "dim", "n_per_class", "tasks"):
-        _expect(isinstance(data[key], int) and data[key] >= 1, f"data.{key}",
+        _expect(_is_int(data[key]) and data[key] >= 1, f"data.{key}",
                 "must be a positive integer")
     if data["source"] == "csv":
         _expect(isinstance(data["csv_path"], str), "data.csv_path",
                 "required when data.source is 'csv'")
+        label = data["label_column"]
         _expect(
-            isinstance(data["label_column"], (str, int)), "data.label_column",
+            isinstance(label, str) or _is_int(label), "data.label_column",
             "required when data.source is 'csv' (column name or index)",
         )
     model = config["model"]
     _expect(
         isinstance(model["hidden_sizes"], list)
-        and all(isinstance(h, int) and h >= 1 for h in model["hidden_sizes"]),
+        and all(_is_int(h) and h >= 1 for h in model["hidden_sizes"]),
         "model.hidden_sizes",
         "must be a list of positive integers",
     )
     _expect(isinstance(model["per_tensor_layout"], bool), "model.per_tensor_layout",
             "must be a boolean")
     train = config["train"]
-    _expect(isinstance(train["eta"], (int, float)) and train["eta"] > 0, "train.eta",
+    eta = train["eta"]
+    _expect((_is_int(eta) or isinstance(eta, float)) and eta > 0, "train.eta",
             "must be a positive number")
     for key in ("epochs", "bs_new", "bs_old", "memory_size"):
-        _expect(isinstance(train[key], int) and train[key] >= 1, f"train.{key}",
+        _expect(_is_int(train[key]) and train[key] >= 1, f"train.{key}",
                 "must be a positive integer")
     _expect(train["memory_policy"] in ("ring", "reservoir"), "train.memory_policy",
             "must be 'ring' or 'reservoir'")
     if train["replay_split_n"] is not None:
-        _expect(isinstance(train["replay_split_n"], int) and train["replay_split_n"] >= 1,
+        _expect(_is_int(train["replay_split_n"]) and train["replay_split_n"] >= 1,
                 "train.replay_split_n", "must be a positive integer or null")
     if train["multi_head"] is not None:
         _expect(isinstance(train["multi_head"], bool), "train.multi_head",
@@ -250,14 +257,14 @@ def _validate(config: dict) -> None:
             len(name) == 1 and name.lower() in "abcdefg"
         )
         _expect(known, f"variants[{i}]", f"unknown variant {name!r}")
-    _expect(isinstance(config["pca_k"], int) and config["pca_k"] >= 1, "pca_k",
+    _expect(_is_int(config["pca_k"]) and config["pca_k"] >= 1, "pca_k",
             "must be a positive integer")
     sweep = config["sweep"]
     _expect(isinstance(sweep["variant"], str), "sweep.variant", "must be a string")
     _expect(
         isinstance(sweep["k_values"], list)
         and sweep["k_values"]
-        and all(isinstance(k, int) and k >= 1 for k in sweep["k_values"]),
+        and all(_is_int(k) and k >= 1 for k in sweep["k_values"]),
         "sweep.k_values",
         "must be a non-empty list of positive integers",
     )

@@ -168,18 +168,25 @@ def load_memory_snapshot(path) -> Coreset:
         if magic != SNAPSHOT_MAGIC:
             raise ValueError(f"{path}: not a memory snapshot: bad magic {magic!r}")
         (count,) = struct.unpack("<q", read_exact(fh, 8, path))
+        if count < 0:
+            raise ValueError(f"{path}: negative memory count {count}")
         coreset = Coreset()
         for _ in range(count):
             task_id, capacity, n, d = struct.unpack("<qqqq", read_exact(fh, 32, path))
+            if n < 0 or d < 0:
+                raise ValueError(f"{path}: memory of {n} items of width {d}")
             features = np.frombuffer(read_exact(fh, n * d * 8, path), dtype="<f8")
             labels = np.frombuffer(read_exact(fh, n * 8, path), dtype="<i8")
-            coreset.add(
-                EpisodicMemory(
-                    task_id=task_id,
-                    capacity=capacity,
-                    features=features.reshape(n, d).copy(),
-                    labels=labels.copy(),
+            try:
+                coreset.add(
+                    EpisodicMemory(
+                        task_id=task_id,
+                        capacity=capacity,
+                        features=features.reshape(n, d).copy(),
+                        labels=labels.copy(),
+                    )
                 )
-            )
+            except ValueError as exc:  # capacity below the item count, task order
+                raise ValueError(f"{path}: {exc}") from None
         expect_end(fh, path)
     return coreset

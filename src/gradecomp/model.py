@@ -18,6 +18,7 @@ as float64 and nothing after it.
 
 from __future__ import annotations
 
+import os
 import struct
 from dataclasses import dataclass
 
@@ -29,14 +30,16 @@ CHECKPOINT_MAGIC = b"GDMLPv2\0"
 
 
 def read_exact(fh, n: int, path) -> bytes:
-    """Exactly ``n`` bytes from ``fh``; fewer means ``path`` is truncated."""
-    data = fh.read(n)
-    if len(data) != n:
+    """Exactly ``n`` bytes from ``fh``; fewer left means ``path`` is
+    truncated.  Checked before reading, so a corrupt length in a header
+    never allocates more than the file holds."""
+    offset = fh.tell()
+    left = os.fstat(fh.fileno()).st_size - offset
+    if n > left:
         raise ValueError(
-            f"{path}: truncated file: needed {n} bytes at offset "
-            f"{fh.tell() - len(data)}, found {len(data)}"
+            f"{path}: truncated file: needed {n} bytes at offset {offset}, found {left}"
         )
-    return data
+    return fh.read(n)
 
 
 def expect_end(fh, path) -> None:
@@ -286,15 +289,20 @@ class MlpModel:
             if magic != CHECKPOINT_MAGIC:
                 raise ValueError(f"{path}: not a model checkpoint: bad magic {magic!r}")
             (n_sizes,) = struct.unpack("<q", read_exact(fh, 8, path))
-            sizes = [
-                struct.unpack("<q", read_exact(fh, 8, path))[0] for _ in range(n_sizes)
-            ]
+            if n_sizes < 2:
+                raise ValueError(f"{path}: {n_sizes} layer sizes, need at least 2")
+            sizes = list(struct.unpack(f"<{n_sizes}q", read_exact(fh, 8 * n_sizes, path)))
+            if min(sizes) < 1:
+                raise ValueError(f"{path}: layer sizes {sizes} must be positive")
             (seed,) = struct.unpack("<q", read_exact(fh, 8, path))
             (per_tensor,) = struct.unpack("<q", read_exact(fh, 8, path))
             if per_tensor not in (0, 1):
                 raise ValueError(f"{path}: layout flag {per_tensor} is not 0 or 1")
-            model = cls(sizes, seed=seed, per_tensor_layout=bool(per_tensor))
-            payload = read_exact(fh, model.n_params * 8, path)
-            model.params[...] = np.frombuffer(payload, dtype="<f8")
+            # the payload the sizes declare must be in the file before the
+            # parameter vector is allocated
+            n_params = sum(a * b + b for a, b in zip(sizes[:-1], sizes[1:]))
+            payload = read_exact(fh, n_params * 8, path)
             expect_end(fh, path)
+        model = cls(sizes, seed=seed, per_tensor_layout=bool(per_tensor))
+        model.params[...] = np.frombuffer(payload, dtype="<f8")
         return model

@@ -14,12 +14,12 @@ whole vector or per layer segment alike.
 Also here: an independent brute-force KKT oracle used to cross-check the
 closed form, the basis-relaxation strategies, and the three baseline
 update rules (single averaged constraint, single random-memory
-constraint, and the per-memory inequality QP solved through its dual).
+constraint, and the per-memory inequality QP solved exactly by active
+set).
 """
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -39,6 +39,8 @@ PROJECT_AND_REFLECT = "project_and_reflect"
 # below this fraction of ||g_bar||^2, the projected shared gradient is
 # treated as numerically zero and the reflect branch falls back to Pg
 DEGENERATE_DENOM_REL = 1e-14
+# the GEM solve stops once g_i'w >= -GEM_SLACK_REL ||g_i|| ||g|| for every memory
+GEM_SLACK_REL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -220,35 +222,20 @@ def sgem_update(
     return agem_update(g, old_grads[idx])
 
 
-def _power_iteration(M: np.ndarray, iters: int = 100) -> float:
-    """Largest eigenvalue of a small symmetric PSD matrix."""
-    n = M.shape[0]
-    v = np.full(n, 1.0 / np.sqrt(n))
-    lam = 0.0
-    for _ in range(iters):
-        u = M @ v
-        norm = float(np.linalg.norm(u))
-        if norm == 0.0:
-            return 0.0
-        v = u / norm
-        lam = float(v @ (M @ v))
-    return lam
-
-
-def gem_qp_update(
-    g: np.ndarray,
-    old_grads: np.ndarray,
-    max_iter: int = 100_000,
-    tol: float = 1e-10,
-) -> np.ndarray:
+def gem_qp_update(g: np.ndarray, old_grads: np.ndarray) -> np.ndarray:
     """Per-memory inequality QP: closest ``w`` to ``g`` with ``g_i' w >= 0``.
 
-    Solved through the dual ``min_{v >= 0} 0.5 v' (G G') v + (G g)' v``
-    (``G = old_grads``, the ``(m, n)`` matrix whose rows are the memory
-    gradients; a list of vectors is stacked) by projected gradient
-    descent with step ``1 / lambda_max(G G')``; the primal update is
-    recovered as ``w = g + G' v``.  A single memory reduces to the
-    closed-form averaged constraint and is returned directly.
+    ``G = old_grads`` is the ``(m, n)`` matrix of memory gradients (a list
+    of vectors is stacked).  Solved exactly by active set: the dual is the
+    non-negative least squares ``min_{v >= 0} 0.5 ||g + G'v||^2``, solved
+    by Lawson and Hanson's algorithm (1974, ch. 23) with one least-squares
+    solve on ``G[P]'`` per passive set ``P``, and ``w = g + G'v``.  It
+    stops when every row of ``G w`` is at least ``-GEM_SLACK_REL ||g_i||
+    ||g||``.  A memory whose solve gives it no positive multiplier (its
+    row lies in the span of the passive rows) is skipped until ``P``
+    changes.  ``g`` is returned (copied) when nothing conflicts, and the
+    averaged constraint for a single memory.  Raises ``RuntimeError``
+    after ``3 m`` passive-set changes.
     """
     if len(old_grads) == 0:
         raise ValueError("need at least one old-task gradient")
@@ -256,29 +243,41 @@ def gem_qp_update(
         return agem_update(g, old_grads[0])
     g = np.asarray(g, dtype=np.float64)
     G = np.asarray(old_grads, dtype=np.float64)
-    q = G @ g
-    if (q >= 0.0).all():
+    slack = G @ g
+    if (slack >= 0.0).all():
         return g.copy()
 
-    M = G @ G.T
-    lam_max = _power_iteration(M)
-    if lam_max <= 0.0:
-        return g.copy()
-    step = 1.0 / lam_max
+    m = G.shape[0]
+    floor = GEM_SLACK_REL * np.linalg.norm(G, axis=1) * np.linalg.norm(g)
+    passive, v, w = np.zeros(m, dtype=bool), np.zeros(m), g.copy()
 
-    v = np.zeros(G.shape[0])
-    residual = np.inf
-    for _ in range(max_iter):
-        grad = M @ v + q
-        projected = np.where(v > 0.0, grad, np.minimum(grad, 0.0))
-        residual = float(np.linalg.norm(projected))
-        if residual < tol:
-            break
-        v = np.maximum(0.0, v - step * grad)
-    else:
-        warnings.warn(
-            f"dual projected gradient hit the {max_iter}-iteration cap "
-            f"(projected-gradient norm {residual:.3e})",
-            RuntimeWarning,
-        )
-    return g + G.T @ v
+    def solve(P):
+        z = np.zeros(m)
+        z[P] = np.linalg.lstsq(G[P].T, -g, rcond=None)[0]
+        return z
+
+    for _ in range(3 * m):
+        skipped = passive.copy()
+        while True:
+            violated = np.flatnonzero(~skipped & (slack < -floor))
+            if violated.size == 0:
+                return w
+            j = violated[np.argmin(slack[violated] / floor[violated])]
+            trial = passive.copy()
+            trial[j] = True
+            z = solve(trial)
+            if z[j] > 0.0:
+                break
+            skipped[j] = True
+        while (z[trial] <= 0.0).any():  # step back until every multiplier is positive
+            neg = np.flatnonzero(trial & (z <= 0.0))
+            ratios = v[neg] / (v[neg] - z[neg])
+            k = int(np.argmin(ratios))
+            v = v + ratios[k] * (z - v)
+            v[neg[k]] = 0.0
+            trial &= v > 0.0
+            z = solve(trial)
+        passive, v = trial, z
+        w = g + G[passive].T @ v[passive]
+        slack = G @ w
+    raise RuntimeError(f"active-set GEM solve exceeded {3 * m} passive-set changes")

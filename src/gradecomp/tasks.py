@@ -56,10 +56,10 @@ class TaskStream:
         return int(self.tasks[0].train.inputs.shape[1])
 
 
-def _stratified_split(
-    inputs: np.ndarray, labels: np.ndarray, rng: np.random.Generator
-) -> tuple[Batch, Batch]:
-    """Per-class 80/20 split, then a seeded shuffle of each side."""
+def _per_class_cut(labels: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Train and test row indices: the leading 80% of each class's rows
+    (at least one, and one fewer than all when the class has two or more)
+    train, the rest test; both grouped by class in ascending label order."""
     train_idx: list[np.ndarray] = []
     test_idx: list[np.ndarray] = []
     for c in np.unique(labels):
@@ -68,8 +68,14 @@ def _stratified_split(
         n_train = min(max(n_train, 1), idx.size - 1) if idx.size > 1 else idx.size
         train_idx.append(idx[:n_train])
         test_idx.append(idx[n_train:])
-    tr = np.concatenate(train_idx)
-    te = np.concatenate(test_idx) if test_idx else np.empty(0, dtype=np.int64)
+    return np.concatenate(train_idx), np.concatenate(test_idx)
+
+
+def _stratified_split(
+    inputs: np.ndarray, labels: np.ndarray, rng: np.random.Generator
+) -> tuple[Batch, Batch]:
+    """Per-class 80/20 split, then a seeded shuffle of each side."""
+    tr, te = _per_class_cut(labels)
     rng.shuffle(tr)
     rng.shuffle(te)
     return (
@@ -271,16 +277,7 @@ def load_csv_dataset(path, label_column) -> tuple[Batch, Batch]:
     classes = np.unique(raw)
     labels = np.searchsorted(classes, raw)
 
-    train_idx: list[int] = []
-    test_idx: list[int] = []
-    for c in range(classes.size):
-        idx = np.flatnonzero(labels == c)
-        n_train = int(round(TRAIN_FRACTION * idx.size))
-        n_train = min(max(n_train, 1), idx.size - 1) if idx.size > 1 else idx.size
-        train_idx.extend(idx[:n_train])
-        test_idx.extend(idx[n_train:])
-    tr = np.asarray(sorted(train_idx), dtype=np.int64)
-    te = np.asarray(sorted(test_idx), dtype=np.int64)
+    tr, te = (np.sort(idx) for idx in _per_class_cut(labels))
 
     mean = inputs[tr].mean(axis=0)
     std = inputs[tr].std(axis=0)

@@ -411,6 +411,113 @@ def suite_basis_adversarial(
     )
 
 
+def _gem_by_enumeration(g: np.ndarray, G: np.ndarray) -> np.ndarray:
+    """Optimum of the per-memory QP by enumerating all ``2^m`` active sets:
+    for each set ``S``, project ``g`` onto the null space of ``G[S]``
+    (through a QR basis of ``G[S]'``) and keep the feasible projection
+    closest to ``g``."""
+    floor = -1e-10 * np.linalg.norm(G, axis=1) * np.linalg.norm(g)
+    best, best_dist = g, np.inf
+    for mask in range(1 << G.shape[0]):
+        S = [i for i in range(G.shape[0]) if mask >> i & 1]
+        Q = np.linalg.qr(G[S].T)[0] if S else np.zeros((g.size, 0))
+        w = g - Q @ (Q.T @ g)
+        dist = float(np.linalg.norm(w - g))
+        if (G @ w >= floor).all() and dist < best_dist:
+            best, best_dist = w, dist
+    return best
+
+
+def _gem_instance(rng: np.random.Generator, family: str):
+    """One GEM instance ``(g, G)``.  ``enumerable``: up to 6 memories,
+    each shifted against ``g`` by its own amount, so active sets of every
+    size occur.  ``near_collinear``: 2-19 copies of one direction, spread
+    1e-12..1, row scales 1e-3..1e3 and, in a third of the instances, a
+    duplicated row, with ``g`` leaning against them."""
+    if family == "enumerable":
+        m = int(rng.integers(2, 7))
+        dim = int(rng.integers(2, 13))
+        g = rng.standard_normal(dim)
+        G = rng.standard_normal((m, dim)) - rng.uniform(-0.5, 1.5, size=(m, 1)) * g
+        return g, G
+    m = int(rng.integers(2, 20))
+    dim = int(rng.integers(5, 400))
+    spread = 10.0 ** rng.uniform(-12.0, 0.0)
+    scales = 10.0 ** rng.uniform(-3.0, 3.0, size=m)
+    base = rng.standard_normal(dim)
+    G = scales[:, None] * (base + spread * rng.standard_normal((m, dim)))
+    if rng.random() < 1.0 / 3.0:
+        k = int(rng.integers(1, m))
+        G[k] = G[int(rng.integers(0, k))]
+    return -rng.uniform(0.0, 2.0) * base + rng.standard_normal(dim), G
+
+
+def suite_gem_exact(
+    n_instances: int = 2000, seed: int = 2030, gem_fn: Callable = None
+) -> SuiteResult:
+    """The per-memory QP solve must reach its optimum.
+
+    Alternating instances: on ``enumerable`` ones (up to 6 memories) the
+    update must equal the brute-force optimum over all active sets to
+    ``1e-9 ||g||``; on ``near_collinear`` ones (up to 19 memories) it must
+    return, without raising, a finite update with ``g_i'w >= -1e-8
+    ||g_i|| ||g||`` for every memory.  ``gem_fn`` defaults to
+    ``solver.gem_qp_update``; it is injectable so a broken solver can be
+    shown to trip the suite.
+    """
+    gem = gem_fn or solver.gem_qp_update
+    rng = np.random.default_rng(seed)
+    worst_gap = 0.0
+    worst_slack = 0.0
+    active = []
+    for i in range(n_instances):
+        family = "enumerable" if i % 2 == 0 else "near_collinear"
+        g, G = _gem_instance(rng, family)
+        norm_g = float(np.linalg.norm(g))
+        problem = None
+        try:
+            w = np.asarray(gem(g, G), dtype=np.float64)
+        except Exception as exc:
+            w = None
+            problem = f"raised {type(exc).__name__}: {exc}"
+        if w is not None and (w.shape != g.shape or not np.isfinite(w).all()):
+            problem = f"update of shape {w.shape} or non-finite entries"
+        elif w is not None:
+            slack = float(((G @ w) / (np.linalg.norm(G, axis=1) * norm_g)).min())
+            worst_slack = min(worst_slack, slack)
+            if slack < -1e-8:
+                problem = f"memory constraint at {slack:.3e} ||g_i|| ||g|| (limit -1e-8)"
+            elif family == "enumerable":
+                w_ref = _gem_by_enumeration(g, G)
+                gap = float(np.linalg.norm(w - w_ref)) / norm_g
+                worst_gap = max(worst_gap, gap)
+                tight = np.abs(G @ w_ref) <= 1e-9 * norm_g * np.linalg.norm(G, axis=1)
+                active.append(int(tight.sum()))
+                if gap > 1e-9:
+                    problem = f"{gap:.3e} ||g|| from the enumerated optimum (limit 1e-9)"
+        if problem is not None:
+            return SuiteResult(
+                name="gem_exact",
+                passed=False,
+                checked=i + 1,
+                detail=f"{family} instance {i}: {problem}",
+                failing_case={
+                    "instance": i,
+                    "family": family,
+                    "g": g.tolist(),
+                    "old_grads": G.tolist(),
+                },
+            )
+    return SuiteResult(
+        "gem_exact",
+        True,
+        n_instances,
+        f"max gap to the enumerated optimum {worst_gap:.3e} ||g||, min memory "
+        f"slack {worst_slack:.3e} ||g_i|| ||g||; active-set sizes at the "
+        f"enumerated optima {np.bincount(active).tolist()}",
+    )
+
+
 def run_all_suites(solve_fn: Callable = None) -> list[SuiteResult]:
     return [
         suite_solver_vs_oracle(solve_fn=solve_fn),
@@ -419,4 +526,5 @@ def run_all_suites(solve_fn: Callable = None) -> list[SuiteResult]:
         suite_gradient_check(),
         suite_constraint_feasibility(solve_fn=solve_fn),
         suite_basis_adversarial(),
+        suite_gem_exact(),
     ]

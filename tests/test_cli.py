@@ -64,6 +64,32 @@ class TestConfigHandling:
         assert code == 0
         assert json.loads((out / "a" / "manifest.json").read_text())["seed"] == 5
 
+    @pytest.mark.parametrize(
+        "override, key",
+        [
+            ("seed=true", "seed"),
+            ("seeds=[1,true]", "seeds"),
+            ("data.tasks=true", "data.tasks"),
+            ("data.n_per_class=false", "data.n_per_class"),
+            ("model.hidden_sizes=[8,true]", "model.hidden_sizes"),
+            ("train.eta=true", "train.eta"),
+            ("train.bs_new=true", "train.bs_new"),
+            ("train.replay_split_n=true", "train.replay_split_n"),
+            ("pca_k=true", "pca_k"),
+            ("sweep.k_values=[true]", "sweep.k_values"),
+            ("data.label_column=true", "data.label_column"),
+        ],
+    )
+    def test_boolean_for_a_number_exit_2(self, tmp_path, capsys, override, key):
+        # JSON true/false load as Python bool, a subclass of int
+        code = cli.main([
+            "run", f"out_dir={tmp_path / 'out'}", "data.source=csv",
+            f"data.csv_path={tmp_path / 'd.csv'}", "data.label_column=0", override,
+        ])
+        assert code == 2
+        assert f"config key {key!r}" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
     def test_unknown_variant_name_exit_2(self, tmp_path, capsys):
         path = write_config(tmp_path, variants=["a", "warp"])
         code = cli.main(["run", str(path)])
@@ -218,6 +244,28 @@ class TestCmdVerify:
         failures = list(tmp_path.glob("verify_failed_*.json"))
         assert failures, "failing instance should be serialized for replay"
         case = json.loads(failures[0].read_text())
+        assert "g" in case and "old_grads" in case
+
+    def test_mutated_gem_solver_detected(self, monkeypatch, tmp_path, capsys):
+        # re-solve without the last constraint active at the optimum: the
+        # comparison with enumerated active sets must catch it
+        from gradecomp import solver
+
+        exact = solver.gem_qp_update
+
+        def drops_last_active(g, old_grads):
+            G = np.asarray(old_grads, dtype=np.float64)
+            w = exact(g, G)
+            tight = np.abs(G @ w) <= 1e-9 * np.linalg.norm(G, axis=1) * np.linalg.norm(g)
+            active = np.flatnonzero(tight & (G @ g < 0.0))
+            if active.size == 0:
+                return w
+            return exact(g, np.delete(G, active[-1], axis=0))
+
+        monkeypatch.setattr(solver, "gem_qp_update", drops_last_active)
+        assert cli.main(["verify", "--out-dir", str(tmp_path)]) == 1
+        assert "FAIL gem_exact" in capsys.readouterr().out
+        case = json.loads((tmp_path / "verify_failed_gem_exact.json").read_text())
         assert "g" in case and "old_grads" in case
 
     def test_report_lists_at_least_four_suites(self, capsys):

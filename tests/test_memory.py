@@ -1,9 +1,12 @@
 """Replay memories, the coreset, sampling, pooled re-splitting, snapshots."""
 
+import struct
+
 import numpy as np
 import pytest
 
 from gradecomp.memory import (
+    SNAPSHOT_MAGIC,
     Coreset,
     EpisodicMemory,
     load_memory_snapshot,
@@ -178,6 +181,28 @@ class TestCoreset:
             with pytest.raises(ValueError, match="truncated") as err:
                 load_memory_snapshot(path)
             assert str(path) in str(err.value)
+
+    @staticmethod
+    def write_one_memory(path, capacity, n, d=2):
+        body = struct.pack("<qqqq", 0, capacity, n, d)
+        if n > 0:
+            body += np.zeros(n * d).astype("<f8").tobytes()
+            body += np.zeros(n, dtype="<i8").tobytes()
+        path.write_bytes(SNAPSHOT_MAGIC + struct.pack("<q", 1) + body)
+
+    def test_snapshot_capacity_below_item_count_names_file(self, tmp_path):
+        path = tmp_path / "memories.bin"
+        self.write_one_memory(path, capacity=2, n=3)
+        with pytest.raises(ValueError, match="capacity is 2") as err:
+            load_memory_snapshot(path)
+        assert str(path) in str(err.value)
+
+    def test_snapshot_negative_item_count_names_file(self, tmp_path):
+        path = tmp_path / "memories.bin"
+        self.write_one_memory(path, capacity=4, n=-1)
+        with pytest.raises(ValueError, match="-1 items") as err:
+            load_memory_snapshot(path)
+        assert str(path) in str(err.value)
 
     def test_snapshot_rejects_trailing_bytes(self, tmp_path):
         coreset = Coreset()

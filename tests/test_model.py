@@ -5,10 +5,12 @@ pass against an independent hand-rolled recomputation; both oracles live
 in this file and share nothing with the implementation.
 """
 
+import struct
+
 import numpy as np
 import pytest
 
-from gradecomp.model import Batch, MlpModel
+from gradecomp.model import CHECKPOINT_MAGIC, Batch, MlpModel
 
 
 def hand_forward(model, X):
@@ -322,6 +324,32 @@ class TestDeterminismAndCheckpoint:
             with pytest.raises(ValueError, match="truncated") as err:
                 MlpModel.load_checkpoint(path)
             assert str(path) in str(err.value)
+
+    @staticmethod
+    def write_header(path, sizes, n_sizes=None):
+        n_sizes = len(sizes) if n_sizes is None else n_sizes
+        fields = [n_sizes, *sizes, 0, 0]  # count, sizes, seed, layout flag
+        path.write_bytes(CHECKPOINT_MAGIC + struct.pack(f"<{len(fields)}q", *fields))
+
+    @pytest.mark.parametrize(
+        "sizes, message",
+        [([4], "1 layer sizes"), ([], "0 layer sizes"), ([3, 0, 2], "must be positive"),
+         ([3, -5], "must be positive")],
+    )
+    def test_malformed_layer_sizes_name_file(self, tmp_path, sizes, message):
+        path = tmp_path / "model.ckpt"
+        self.write_header(path, sizes)
+        with pytest.raises(ValueError, match=message) as err:
+            MlpModel.load_checkpoint(path)
+        assert str(path) in str(err.value)
+
+    def test_declared_payload_checked_before_allocation(self, tmp_path):
+        # 2^31 x 2^31 weights would be 32 EiB; the file holds no payload
+        path = tmp_path / "model.ckpt"
+        self.write_header(path, [2**31, 2**31])
+        with pytest.raises(ValueError, match="truncated") as err:
+            MlpModel.load_checkpoint(path)
+        assert str(path) in str(err.value)
 
     def test_checkpoint_keeps_per_tensor_layout(self, tmp_path):
         for per_tensor in (False, True):

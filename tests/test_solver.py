@@ -8,7 +8,7 @@ correctness evidence.
 import numpy as np
 import pytest
 
-from gradecomp import linalg
+from gradecomp import linalg, verify
 from gradecomp.decomp import decompose
 from gradecomp.solver import (
     PROJECT_AND_REFLECT,
@@ -254,6 +254,14 @@ class TestGemQpUpdate:
         assert all(m @ g >= 0 for m in mem)
         np.testing.assert_array_equal(gem_qp_update(g, mem), g)
 
+    def test_conflict_within_tolerance_returns_a_copy(self):
+        # memory 0 conflicts by 1e-14 ||g_0|| ||g||, below GEM_SLACK_REL
+        g = np.array([1.0, 0.0])
+        mem = np.array([[-1e-14, 1.0], [1.0, 0.0]])
+        w = gem_qp_update(g, mem)
+        assert w is not g
+        np.testing.assert_array_equal(w, g)
+
     def test_single_memory_equals_averaged_constraint(self):
         rng = np.random.default_rng(312)
         for _ in range(20):
@@ -294,3 +302,28 @@ class TestGemQpUpdate:
             assert (coeff >= -1e-8).all()
             recon = np.stack(mem).T @ coeff
             assert np.linalg.norm(recon - resid) < 1e-6 * max(1, np.linalg.norm(resid))
+
+
+class TestGemExactSuite:
+    def test_passes(self):
+        res = verify.suite_gem_exact()
+        assert res.passed, res.detail
+        # the enumerated optima cover active sets of several sizes
+        sizes = res.detail.rsplit("[", 1)[1]
+        assert sum(int(c) > 0 for c in sizes.strip("]").split(",")) >= 5
+
+    def test_trips_on_a_capped_dual_iteration(self):
+        # projected gradient on the dual, stopped after a fixed number of
+        # steps: close to the optimum on easy instances, not on all
+        def capped(g, old_grads):
+            G = np.asarray(old_grads, dtype=np.float64)
+            K, q = G @ G.T, G @ g
+            step = 1.0 / np.linalg.eigvalsh(K)[-1]
+            v = np.zeros(len(G))
+            for _ in range(2000):
+                v = np.maximum(0.0, v - step * (K @ v + q))
+            return g + G.T @ v
+
+        res = verify.suite_gem_exact(gem_fn=capped)
+        assert not res.passed
+        assert res.failing_case is not None

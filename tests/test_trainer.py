@@ -261,6 +261,25 @@ class TestTrainSequence:
                 accs[name].append(metrics.acc(R))
         assert np.mean(accs["ours"]) > np.mean(accs["single"])
 
+    def test_session_guard_checks_gem_in_both_modes(self, feasibility_guard):
+        # the guard in conftest wraps solver.gem_qp_update: every GEM step
+        # must reach it once for the whole vector, or once per layer
+        stream = make_stream(14, T=4)
+        layout = MlpModel([8, 6, 3]).layout
+        seen = feasibility_guard["gem_sizes"]
+        for lgu, lengths in (
+            (False, [layout.total]),
+            (True, [sl.stop - sl.start for sl in layout.slices()]),
+        ):
+            before = {n: seen[n] for n in lengths}
+            cfg = TrainConfig(
+                seed=3, variant=trainer.variant_gem(lgu=lgu), hidden_sizes=(6,)
+            )
+            _, log = train_sequence(stream, cfg)
+            steps = sum(t.task > 0 for t in log)
+            assert steps > 0
+            assert all(seen[n] - before[n] == steps for n in lengths)
+
     def test_replay_split_pools_memories(self):
         stream = make_stream(13, T=3)
         cfg = TrainConfig(
