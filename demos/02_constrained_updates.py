@@ -19,7 +19,6 @@ from gradecomp import (
     sgem_update,
     solve_update,
 )
-from gradecomp.solver import RELAX_FIRST_K, RELAX_PCA, SolverConfig
 
 rng = np.random.default_rng(7)
 
@@ -52,14 +51,10 @@ print(f"\nclosed form vs dense KKT oracle over 200 instances: "
 
 # --- relaxations --------------------------------------------------------
 bundle = decompose(rng.standard_normal(30), [rng.standard_normal(30) for _ in range(6)])
-for cfg in (
-    SolverConfig(),
-    SolverConfig(relaxation=RELAX_PCA, k=2),
-    SolverConfig(relaxation=RELAX_FIRST_K, k=2),
-):
-    basis = relax_basis(bundle.specific, cfg)
-    label = cfg.relaxation + (f"(k={cfg.k})" if cfg.k else "")
-    print(f"relaxation {label:>12}: basis has {basis.shape[1]} columns")
+for k in (None, 2):
+    basis = relax_basis(bundle.specific, k)
+    label = "full" if k is None else f"top-{k} principal"
+    print(f"{label:>15} basis: {basis.shape[1]} columns")
 
 # --- baselines ----------------------------------------------------------
 g = bundle.new_grad

@@ -13,7 +13,7 @@ Takes roughly half a minute.
 import numpy as np
 
 from gradecomp import gen_permuted_tasks, gen_synthetic_base, metrics
-from gradecomp.trainer import TrainConfig, run_ablation, train_sequence, variant_from_letter
+from gradecomp.trainer import TrainConfig, run_ablation, train_sequence, variant_from_name
 
 SEED = 11
 base = gen_synthetic_base(classes=3, dim=8, n_per_class=60, seed=SEED)
@@ -23,7 +23,7 @@ cfg = TrainConfig(seed=SEED, hidden_sizes=(12,), memory_size=64)
 print(f"stream: {len(stream)} permuted-feature tasks, "
       f"{len(stream.tasks[0].train)} train rows each\n")
 
-variants = [variant_from_letter(letter, k=2) for letter in "abcdefg"]
+variants = [variant_from_name(letter, k=2) for letter in "abcdefg"]
 rows = run_ablation(stream, cfg, variants)
 print(f"{'variant':>16} {'ACC':>8} {'BWT':>8} {'seconds':>8}")
 for row in rows:
@@ -39,7 +39,7 @@ for k in (1, 2, 4, 6):
             seed=seed,
             hidden_sizes=(12,),
             memory_size=64,
-            variant=variant_from_letter("e", k=k),
+            variant=variant_from_name("e", k=k),
         )
         R, _ = train_sequence(s, c)
         accs.append(metrics.acc(R))

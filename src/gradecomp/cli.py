@@ -4,6 +4,7 @@ Verbs:
 
 * ``run``      -- train every configured variant, write matrices and logs
 * ``sweep-k``  -- repeat a principal-direction variant over a list of k
+                  (``--k`` overrides ``sweep.k_values``)
 * ``verify``   -- run the property suites and report pass/fail
 * ``report``   -- re-render summary tables from stored matrices
 
@@ -36,14 +37,18 @@ back to plain strings).  Overrides always win.  Key tree with defaults:
       replay_split_n: null  pool memories and re-split into n parts
       multi_head: null      null = infer from scenario
     variants: ["a", "b", "d", "f"]
-    pca_k: 2                k used by the principal-direction variants
+    pca_k: 2                k of a principal-direction variant named without one
     sweep:
       variant: "e"
       k_values: [1, 2, 3]
 
-Variant names: ablation letters ``a``-``g`` or the explicit names
-``single``, ``agem``, ``agem+lgu``, ``sgem``, ``gem``, ``gem+lgu``,
-``ours``, ``ours+lgu``, ``ours+pca``, ``ours+pca+lgu``.
+Variant names are read by ``trainer.variant_from_name``: the ablation
+letters ``a``-``g`` or names of the form ``kind[+pca[N]][+lgu]``, such as
+``single``, ``agem+lgu``, ``sgem``, ``gem``, ``ours``, ``ours+pca+lgu``.
+Every name a run prints (e.g. ``ours+pca2+lgu``) is accepted.  A
+principal-direction name without its own ``N`` takes ``pca_k``; the
+``sweep-k`` variant must take its k from the sweep (``e``, ``g``,
+``ours+pca`` or ``ours+pca+lgu``).
 
 Exit codes: 0 success, 2 invalid config (message names the offending
 key), 3 runtime failure (non-finite abort, file I/O).
@@ -69,7 +74,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import __version__, metrics, solver, tasks, trainer, verify
+from . import __version__, metrics, tasks, trainer, verify
 
 DATA_SEED_OFFSET = 0
 STREAM_SEED_OFFSET = 1
@@ -109,23 +114,6 @@ DEFAULT_CONFIG = {
         "k_values": [1, 2, 3],
     },
 }
-
-VARIANT_NAMES = {
-    "single": lambda k: trainer.variant_single(),
-    "agem": lambda k: trainer.variant_agem(),
-    "agem+lgu": lambda k: trainer.variant_agem(lgu=True),
-    "sgem": lambda k: trainer.variant_sgem(),
-    "gem": lambda k: trainer.variant_gem(),
-    "gem+lgu": lambda k: trainer.variant_gem(lgu=True),
-    "ours": lambda k: trainer.variant_ours(),
-    "ours+lgu": lambda k: trainer.variant_ours(lgu=True),
-    "ours+pca": lambda k: trainer.variant_ours(relaxation=solver.RELAX_PCA, k=k),
-    "ours+pca+lgu": lambda k: trainer.variant_ours(
-        relaxation=solver.RELAX_PCA, k=k, lgu=True
-    ),
-}
-PCA_VARIANTS = ("e", "g", "ours+pca", "ours+pca+lgu")
-
 
 class ConfigError(Exception):
     def __init__(self, key: str, message: str):
@@ -199,6 +187,14 @@ def _is_int(value) -> bool:
     return isinstance(value, int) and not isinstance(value, bool)
 
 
+def _check_variant(name, pca_k: int, key: str) -> None:
+    _expect(isinstance(name, str), key, "must be a string")
+    try:
+        trainer.variant_from_name(name, k=pca_k)
+    except ValueError as exc:
+        raise ConfigError(key, str(exc)) from exc
+
+
 def _validate(config: dict) -> None:
     _expect(_is_int(config["seed"]), "seed", "must be an integer")
     seeds = config["seeds"]
@@ -224,6 +220,8 @@ def _validate(config: dict) -> None:
             isinstance(label, str) or _is_int(label), "data.label_column",
             "required when data.source is 'csv' (column name or index)",
         )
+        _expect(isinstance(label, str) or label >= 0, "data.label_column",
+                "a column index must be non-negative")
     model = config["model"]
     _expect(
         isinstance(model["hidden_sizes"], list)
@@ -248,19 +246,15 @@ def _validate(config: dict) -> None:
     if train["multi_head"] is not None:
         _expect(isinstance(train["multi_head"], bool), "train.multi_head",
                 "must be a boolean or null")
+    _expect(_is_int(config["pca_k"]) and config["pca_k"] >= 1, "pca_k",
+            "must be a positive integer")
     variants = config["variants"]
     _expect(isinstance(variants, list) and variants, "variants",
             "must be a non-empty list")
     for i, name in enumerate(variants):
-        _expect(isinstance(name, str), f"variants[{i}]", "must be a string")
-        known = name.lower() in VARIANT_NAMES or (
-            len(name) == 1 and name.lower() in "abcdefg"
-        )
-        _expect(known, f"variants[{i}]", f"unknown variant {name!r}")
-    _expect(_is_int(config["pca_k"]) and config["pca_k"] >= 1, "pca_k",
-            "must be a positive integer")
+        _check_variant(name, config["pca_k"], f"variants[{i}]")
     sweep = config["sweep"]
-    _expect(isinstance(sweep["variant"], str), "sweep.variant", "must be a string")
+    _check_variant(sweep["variant"], config["pca_k"], "sweep.variant")
     _expect(
         isinstance(sweep["k_values"], list)
         and sweep["k_values"]
@@ -271,10 +265,8 @@ def _validate(config: dict) -> None:
 
 
 def build_variant(name: str, pca_k: int) -> trainer.MethodVariant:
-    lowered = name.lower()
-    if lowered in VARIANT_NAMES:
-        return VARIANT_NAMES[lowered](pca_k)
-    return trainer.variant_from_letter(lowered, k=pca_k)
+    """The method ``name`` selects; see :func:`trainer.variant_from_name`."""
+    return trainer.variant_from_name(name, k=pca_k)
 
 
 def build_stream(data_cfg: dict, seed: int) -> tasks.TaskStream:
@@ -440,12 +432,15 @@ def cmd_sweep_k(args) -> int:
     config = _load_args_config(args)
     sweep = config["sweep"]
     variant_name = sweep["variant"].lower()
-    if variant_name not in PCA_VARIANTS:
+    if args.k is not None and not all(k >= 1 for k in args.k):
+        raise ConfigError("--k", f"must be positive integers, got {args.k}")
+    k_values = args.k or sweep["k_values"]
+    if any(trainer.variant_from_name(variant_name, k).pca_k != k for k in k_values):
         raise ConfigError(
             "sweep.variant",
-            f"must be a principal-direction variant {PCA_VARIANTS}, got {variant_name!r}",
+            "must be a principal-direction variant that takes k from the sweep "
+            f"(e, g, ours+pca or ours+pca+lgu), got {variant_name!r}",
         )
-    k_values = args.k if args.k else sweep["k_values"]
     seeds = config["seeds"] or [config["seed"]]
     T = config["data"]["tasks"]
     if T < 2:

@@ -77,10 +77,12 @@ def update_memory(
 
     ``ring`` keeps the last ``m`` examples in stream order; ``reservoir``
     keeps a uniform sample of size ``min(m, n)`` built by the classic
-    one-pass replacement algorithm from the given seed.  A ring memory
-    holds read-only views of the task's rows rather than a copy, so the
-    coreset adds no second copy of data the stream already holds; the
-    reservoir sample is a copy.
+    one-pass replacement algorithm from the given seed.  A ring memory,
+    and a reservoir memory whose task has ``n <= m`` examples (it keeps
+    them all), holds read-only views of the task's rows rather than a
+    copy, so the coreset adds no second copy of data the stream already
+    holds; a reservoir sample of ``m < n`` rows is a copy, also
+    read-only.
     """
     if m < 1:
         raise ValueError("memory capacity must be at least 1")

@@ -7,15 +7,17 @@ form has two branches: project ``g`` out of the span, and, when the
 projected gradient still conflicts with the shared gradient, reflect the
 conflicting component away as well.
 
-:func:`decomposed_update` wraps basis and solve as an update rule, a map
-from a gradient bundle to an :class:`UpdateResult`, which runs on the
-whole vector or per layer segment alike.
+The constraint basis comes from :func:`relax_basis`: an orthonormal
+basis of every task-specific direction, or, relaxed, only the top-k
+principal directions of the specific matrix.  :func:`decomposed_update`
+wraps basis and solve as an update rule, a map from a gradient bundle
+to an :class:`UpdateResult`, which runs on the whole vector or per layer
+segment alike.
 
 Also here: an independent brute-force KKT oracle used to cross-check the
-closed form, the basis-relaxation strategies, and the three baseline
-update rules (single averaged constraint, single random-memory
-constraint, and the per-memory inequality QP solved exactly by active
-set).
+closed form, and the three baseline update rules (single averaged
+constraint, single random-memory constraint, and the per-memory
+inequality QP solved exactly by active set).
 """
 
 from __future__ import annotations
@@ -27,12 +29,6 @@ import numpy as np
 from . import linalg
 from .decomp import GradientBundle
 
-RELAX_FULL = "full"
-RELAX_PCA = "pca"
-RELAX_FIRST_K = "first_k"
-RELAX_LAST_K = "last_k"
-RELAXATIONS = (RELAX_FULL, RELAX_PCA, RELAX_FIRST_K, RELAX_LAST_K)
-
 PROJECT_ONLY = "project_only"
 PROJECT_AND_REFLECT = "project_and_reflect"
 
@@ -41,26 +37,6 @@ PROJECT_AND_REFLECT = "project_and_reflect"
 DEGENERATE_DENOM_REL = 1e-14
 # the GEM solve stops once g_i'w >= -GEM_SLACK_REL ||g_i|| ||g|| for every memory
 GEM_SLACK_REL = 1e-12
-
-
-@dataclass(frozen=True)
-class SolverConfig:
-    """How to build the constraint basis."""
-
-    relaxation: str = RELAX_FULL
-    k: int | None = None
-    rank_tol: float = linalg.DEFAULT_RANK_TOL
-
-    def __post_init__(self):
-        if self.relaxation not in RELAXATIONS:
-            raise ValueError(f"unknown relaxation {self.relaxation!r}")
-        if self.relaxation != RELAX_FULL:
-            if self.k is None or self.k < 1:
-                raise ValueError(
-                    f"relaxation {self.relaxation!r} requires k >= 1, got {self.k}"
-                )
-        if self.rank_tol <= 0.0:
-            raise ValueError("rank_tol must be positive")
 
 
 @dataclass
@@ -165,32 +141,18 @@ def qp_oracle(g: np.ndarray, g_bar: np.ndarray, B: np.ndarray) -> np.ndarray:
     return candidates[int(np.argmin(objectives))]
 
 
-def relax_basis(G_specific: np.ndarray, cfg: SolverConfig) -> np.ndarray:
-    """Constraint basis for a specific-gradient matrix under ``cfg``.
-
-    ``full`` orthonormalizes every column; ``pca`` keeps the top-k
-    principal directions; ``first_k``/``last_k`` keep only the leading or
-    trailing k columns (column i belongs to memory i) before
-    orthonormalizing.
-    """
-    G = np.asarray(G_specific, dtype=np.float64)
-    if G.ndim == 1:
-        G = G.reshape(-1, 1)
-    if cfg.relaxation == RELAX_FULL:
-        return linalg.modified_gram_schmidt(G, cfg.rank_tol)
-    if cfg.relaxation == RELAX_PCA:
-        return linalg.gram_pca(G, cfg.k, cfg.rank_tol)
-    k = min(cfg.k, G.shape[1])
-    if cfg.relaxation == RELAX_FIRST_K:
-        return linalg.modified_gram_schmidt(G[:, :k], cfg.rank_tol)
-    return linalg.modified_gram_schmidt(G[:, G.shape[1] - k:], cfg.rank_tol)
+def relax_basis(G_specific: np.ndarray, k: int | None = None) -> np.ndarray:
+    """Constraint basis for a specific-gradient matrix: an orthonormal
+    basis of its whole column space when ``k`` is ``None``, else its
+    top-``k`` principal directions."""
+    if k is None:
+        return linalg.modified_gram_schmidt(G_specific)
+    return linalg.gram_pca(G_specific, k)
 
 
-def decomposed_update(
-    bundle: GradientBundle, cfg: SolverConfig = SolverConfig()
-) -> UpdateResult:
+def decomposed_update(bundle: GradientBundle, k: int | None = None) -> UpdateResult:
     """The decomposed update rule: relax the specific basis, then solve."""
-    B = relax_basis(bundle.specific, cfg)
+    B = relax_basis(bundle.specific, k)
     return solve_update(bundle.new_grad, bundle.shared, B)
 
 

@@ -29,6 +29,8 @@ replay-buffer split   53
 
 from __future__ import annotations
 
+import numbers
+import re
 import time
 from dataclasses import dataclass, field, replace
 from functools import partial
@@ -55,28 +57,58 @@ KIND_GEM = "gem"
 KIND_OURS = "ours"
 KINDS = (KIND_SINGLE, KIND_AGEM, KIND_SGEM, KIND_GEM, KIND_OURS)
 
+#: ablation letters: (a) plain fine-tuning, (b) averaged constraint,
+#: (c) averaged constraint per layer, (d) decomposed constraints,
+#: (e) decomposed with top-k principal directions, (f) decomposed per
+#: layer, (g) decomposed per layer with top-k principal directions
+LETTERS = {
+    "a": "single",
+    "b": "agem",
+    "c": "agem+lgu",
+    "d": "ours",
+    "e": "ours+pca",
+    "f": "ours+lgu",
+    "g": "ours+pca+lgu",
+}
+_NAME = re.compile(r"([a-z]+)(\+pca(\d*))?(\+lgu)?")
+
 
 @dataclass(frozen=True)
 class MethodVariant:
     """Update rule selector.
 
-    ``lgu`` applies the rule independently per layout segment;
-    ``solver_cfg`` selects the basis relaxation of the decomposed method.
+    ``lgu`` applies the rule independently per layout segment; plain
+    fine-tuning and the single random-memory constraint have no per-layer
+    form.  ``pca_k`` relaxes the decomposed method's constraint basis to
+    its top-``pca_k`` principal directions; ``None`` keeps every
+    direction.
     """
 
     kind: str
     lgu: bool = False
-    solver_cfg: solver.SolverConfig = field(default_factory=solver.SolverConfig)
+    pca_k: int | None = None
 
     def __post_init__(self):
         if self.kind not in KINDS:
             raise ValueError(f"unknown method kind {self.kind!r}")
+        if self.lgu and self.kind in (KIND_SINGLE, KIND_SGEM):
+            raise ValueError(f"method {self.kind!r} has no per-layer form")
+        if self.pca_k is not None:
+            if self.kind != KIND_OURS:
+                raise ValueError(f"method {self.kind!r} takes no principal-direction k")
+            k = self.pca_k
+            if isinstance(k, bool) or not isinstance(k, numbers.Integral) or k < 1:
+                raise ValueError(
+                    f"principal-direction k must be an integer at least 1, got {k!r}"
+                )
 
     @property
     def name(self) -> str:
+        """The canonical name, e.g. ``ours+pca2+lgu``; :func:`variant_from_name`
+        reads it back."""
         parts = [self.kind]
-        if self.kind == KIND_OURS and self.solver_cfg.relaxation != solver.RELAX_FULL:
-            parts.append(f"{self.solver_cfg.relaxation}{self.solver_cfg.k}")
+        if self.pca_k is not None:
+            parts.append(f"pca{self.pca_k}")
         if self.lgu:
             parts.append("lgu")
         return "+".join(parts)
@@ -90,42 +122,35 @@ def variant_agem(lgu: bool = False) -> MethodVariant:
     return MethodVariant(kind=KIND_AGEM, lgu=lgu)
 
 
-def variant_sgem() -> MethodVariant:
-    return MethodVariant(kind=KIND_SGEM)
-
-
 def variant_gem(lgu: bool = False) -> MethodVariant:
     return MethodVariant(kind=KIND_GEM, lgu=lgu)
 
 
-def variant_ours(
-    relaxation: str = solver.RELAX_FULL, k: int | None = None, lgu: bool = False
-) -> MethodVariant:
-    cfg = solver.SolverConfig(relaxation=relaxation, k=k)
-    return MethodVariant(kind=KIND_OURS, lgu=lgu, solver_cfg=cfg)
+def variant_ours(lgu: bool = False) -> MethodVariant:
+    return MethodVariant(kind=KIND_OURS, lgu=lgu)
 
 
-#: ablation shorthand: (a) plain fine-tuning, (b) averaged constraint,
-#: (c) averaged constraint per layer, (d) decomposed constraints,
-#: (e) decomposed with top-k principal directions, (f) decomposed per
-#: layer, (g) decomposed per layer with top-k principal directions.
-def variant_from_letter(letter: str, k: int | None = None) -> MethodVariant:
-    letter = letter.lower()
-    if letter == "a":
-        return variant_single()
-    if letter == "b":
-        return variant_agem()
-    if letter == "c":
-        return variant_agem(lgu=True)
-    if letter == "d":
-        return variant_ours()
-    if letter == "e":
-        return variant_ours(relaxation=solver.RELAX_PCA, k=k or 1)
-    if letter == "f":
-        return variant_ours(lgu=True)
-    if letter == "g":
-        return variant_ours(relaxation=solver.RELAX_PCA, k=k or 1, lgu=True)
-    raise ValueError(f"unknown ablation letter {letter!r}")
+def variant_from_name(name: str, k: int | None = None) -> MethodVariant:
+    """The method a name selects, case-insensitively.
+
+    ``name`` is an ablation letter from :data:`LETTERS` or a name of the
+    form ``kind[+pca[N]][+lgu]``, which covers every
+    :attr:`MethodVariant.name`.  A principal-direction name without its
+    own ``N`` takes ``k``, or 1 when ``k`` is ``None``.  Raises
+    ``ValueError`` on an unknown name, an invalid combination, or
+    ``k < 1``.
+    """
+    if k is not None and k < 1:
+        raise ValueError(f"principal-direction k must be at least 1, got {k}")
+    lowered = name.lower()
+    match = _NAME.fullmatch(LETTERS.get(lowered, lowered))
+    if match is None:
+        raise ValueError(f"unknown variant {name!r}")
+    kind, pca, own_k, lgu = match.groups()
+    pca_k = None
+    if pca:
+        pca_k = int(own_k) if own_k else (1 if k is None else k)
+    return MethodVariant(kind=kind, lgu=bool(lgu), pca_k=pca_k)
 
 
 @dataclass(frozen=True)
@@ -225,7 +250,7 @@ def _solve_for_variant(
 
     if variant.kind == KIND_OURS:
         bundle = decompose(g, old)
-        rule = partial(solver.decomposed_update, cfg=variant.solver_cfg)
+        rule = partial(solver.decomposed_update, k=variant.pca_k)
     elif variant.kind == KIND_AGEM:
         bundle = GradientBundle(new_grad=g, shared=old)
         rule = _agem_rule

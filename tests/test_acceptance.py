@@ -17,14 +17,13 @@ from gradecomp.decomp import decompose
 from gradecomp.layerwise import ParamLayout, layerwise_solve, predicted_loss_change
 from gradecomp.model import Batch, MlpModel
 from gradecomp.solver import (
-    SolverConfig,
     agem_update,
     decomposed_update,
     gem_qp_update,
     solve_update,
 )
 from gradecomp.tasks import gen_permuted_tasks, gen_synthetic_base
-from gradecomp.trainer import TrainConfig, train_sequence, variant_from_letter
+from gradecomp.trainer import TrainConfig, train_sequence, variant_from_name
 
 SEEDS = (1, 2, 3, 4, 5)
 
@@ -37,7 +36,7 @@ def run_variant(letter, seed, *, classes, dim, n_per_class, T, hidden, k=None):
     base = gen_synthetic_base(classes, dim, n_per_class, seed=seed)
     stream = gen_permuted_tasks(base, T=T, seed=seed + 1)
     cfg = TrainConfig(
-        seed=seed, variant=variant_from_letter(letter, k=k), hidden_sizes=hidden
+        seed=seed, variant=variant_from_name(letter, k=k), hidden_sizes=hidden
     )
     R, log = train_sequence(stream, cfg)
     return R, log
@@ -121,7 +120,7 @@ def test_criterion_06_first_order_loss_prediction():
     bundle = decompose(g, old)
     layout = model.layout
 
-    B = solver.relax_basis(bundle.specific, SolverConfig())
+    B = solver.relax_basis(bundle.specific)
     res_modes = {
         "concatenated": solve_update(g, bundle.shared, B),
         "layerwise": layerwise_solve(bundle, layout, decomposed_update),
@@ -157,7 +156,6 @@ def test_criterion_07_layerwise_dominance():
     between them is guaranteed."""
     rng = np.random.default_rng(77)
     layout = ParamLayout.from_lengths([("s0", 8), ("s1", 10), ("s2", 6)])
-    cfg = SolverConfig()
     slices = layout.slices()
     violations = {"predicted": 0, "realized": 0}
     worst_excess = 0.0
@@ -173,7 +171,7 @@ def test_criterion_07_layerwise_dominance():
         # rounding allowance only: segmented and whole-vector sums differ
         tol = 1e-12 * float(np.linalg.norm(g_bar) * np.linalg.norm(g))
 
-        blocks = [solver.relax_basis(G[sl, :], cfg) for sl in slices]
+        blocks = [solver.relax_basis(G[sl, :]) for sl in slices]
         B_block = np.zeros((layout.total, sum(b.shape[1] for b in blocks)))
         col = 0
         for sl, b in zip(slices, blocks):
@@ -355,7 +353,7 @@ def test_criterion_13_degenerate_equivalences():
         bundle_m = decompose(g, [rng.standard_normal(dim) for _ in range(n_mem)])
         layout = ParamLayout.from_lengths([("all", dim)])
         w_lw = layerwise_solve(bundle_m, layout, decomposed_update).w
-        B_m = solver.relax_basis(bundle_m.specific, SolverConfig())
+        B_m = solver.relax_basis(bundle_m.specific)
         w_cc = solve_update(g, bundle_m.shared, B_m).w
         assert np.array_equal(w_lw, w_cc)
     print("criterion 13: 20/20 instances bitwise-equal on all three identities")

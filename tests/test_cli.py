@@ -96,6 +96,32 @@ class TestConfigHandling:
         assert code == 2
         assert "variants[1]" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "override, key",
+        [
+            ('variants=["a","sgem+lgu"]', "variants[1]"),
+            ('variants=["gem+pca2"]', "variants[0]"),
+            ('variants=["ours+pca0"]', "variants[0]"),
+            ("sweep.variant=warp", "sweep.variant"),
+        ],
+    )
+    def test_invalid_variant_exit_2(self, tmp_path, capsys, override, key):
+        code = cli.main(["run", f"out_dir={tmp_path / 'out'}", override])
+        assert code == 2
+        assert f"config key {key!r}" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    def test_negative_label_column_exit_2(self, tmp_path, capsys):
+        csv_path = tmp_path / "d.csv"
+        csv_path.write_text("x0,label\n0.5,0\n1.5,1\n", encoding="utf-8")
+        code = cli.main([
+            "run", f"out_dir={tmp_path / 'out'}", "data.source=csv",
+            f"data.csv_path={csv_path}", "data.label_column=-1",
+        ])
+        assert code == 2
+        assert "config key 'data.label_column'" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
 
 class TestCmdRun:
     def test_smoke_run_writes_outputs(self, tmp_path, capsys):
@@ -153,6 +179,12 @@ class TestCmdRun:
         assert summary["n_tasks"] == 2
         assert 0.0 <= summary["acc"] <= 1.0
 
+    def test_printed_variant_name_runs(self, tmp_path):
+        path = write_config(tmp_path, data={"tasks": 3})
+        assert cli.main(["run", str(path), 'variants=["ours+pca2+lgu"]']) == 0
+        summary = json.loads((tmp_path / "out" / "ours_pca2_lgu" / "summary.json").read_text())
+        assert summary["variant"] == "ours+pca2+lgu"
+
     def test_matrix_csv_round_trips_metrics(self, tmp_path):
         path = write_config(tmp_path, variants=["b"], data={"tasks": 3})
         assert cli.main(["run", str(path)]) == 0
@@ -209,6 +241,22 @@ class TestCmdSweepK:
     def test_non_pca_variant_rejected(self, tmp_path):
         path = write_config(tmp_path, sweep={"variant": "d", "k_values": [1]})
         assert cli.main(["sweep-k", str(path)]) == 2
+
+    def test_variant_with_its_own_k_rejected(self, tmp_path, capsys):
+        # the sweep would run k=3 under every row's k
+        path = write_config(tmp_path, data={"tasks": 4})
+        code = cli.main(["sweep-k", str(path), "sweep.variant=ours+pca3"])
+        assert code == 2
+        assert "config key 'sweep.variant'" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("k", ["0", "-1"])
+    def test_non_positive_k_flag_exit_2(self, tmp_path, capsys, k):
+        path = write_config(tmp_path, data={"tasks": 4}, sweep={"variant": "e"})
+        code = cli.main(["sweep-k", str(path), "--k", "1", k])
+        assert code == 2
+        assert "config key '--k'" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
 
 
 class TestCmdVerify:

@@ -14,7 +14,6 @@ from gradecomp.layerwise import (
 from gradecomp.solver import (
     PROJECT_AND_REFLECT,
     PROJECT_ONLY,
-    SolverConfig,
     decomposed_update,
 )
 
@@ -71,7 +70,7 @@ class TestLayerwiseSolve:
             old = [rng.standard_normal(dim) for _ in range(4)]
             bundle = decompose(rng.standard_normal(dim), old)
             res_lw = layerwise_solve(bundle, layout_of(dim), decomposed_update)
-            B = solver.relax_basis(bundle.specific, SolverConfig())
+            B = solver.relax_basis(bundle.specific)
             res_cc = solver.solve_update(bundle.new_grad, bundle.shared, B)
             assert np.array_equal(res_lw.w, res_cc.w)
             assert res_lw.branch == res_cc.branch
@@ -103,7 +102,7 @@ class TestLayerwiseSolve:
             res = layerwise_solve(bundle, layout, decomposed_update)
             for sl, (_, seg_res) in zip(layout.slices(), res.per_layer):
                 sub = decompose(bundle.new_grad[sl], [o[sl] for o in old])
-                B = solver.relax_basis(sub.specific, SolverConfig())
+                B = solver.relax_basis(sub.specific)
                 ref = solver.solve_update(sub.new_grad, sub.shared, B)
                 assert np.array_equal(seg_res.w, ref.w)
                 np.testing.assert_array_equal(res.w[sl], ref.w)

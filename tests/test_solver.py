@@ -13,10 +13,6 @@ from gradecomp.decomp import decompose
 from gradecomp.solver import (
     PROJECT_AND_REFLECT,
     PROJECT_ONLY,
-    RELAX_FIRST_K,
-    RELAX_LAST_K,
-    RELAX_PCA,
-    SolverConfig,
     agem_update,
     gem_qp_update,
     qp_oracle,
@@ -134,34 +130,16 @@ class TestQpOracle:
 class TestRelaxBasis:
     def test_full_on_rank_one(self):
         G = np.outer(np.array([1.0, 2.0, 2.0]), np.array([1.0, -2.0, 0.5]))
-        B = relax_basis(G, SolverConfig())
+        B = relax_basis(G)
         assert B.shape[1] == 1
 
     def test_pca_with_k_equal_rank_spans_full_space(self):
         rng = np.random.default_rng(304)
         bundle, B_full = random_instance(rng, dim=20, n_mem=5)
-        cfg = SolverConfig(relaxation=RELAX_PCA, k=B_full.shape[1])
-        B_pca = relax_basis(bundle.specific, cfg)
+        B_pca = relax_basis(bundle.specific, B_full.shape[1])
         assert B_pca.shape[1] == B_full.shape[1]
         r = B_pca - B_full @ (B_full.T @ B_pca)
         assert np.abs(r).max() < 1e-8
-
-    def test_first_k_keeps_leading_memory_column(self):
-        rng = np.random.default_rng(305)
-        G = rng.standard_normal((10, 3))
-        B = relax_basis(G, SolverConfig(relaxation=RELAX_FIRST_K, k=1))
-        assert B.shape[1] == 1
-        np.testing.assert_allclose(
-            np.abs(B[:, 0]), np.abs(G[:, 0]) / np.linalg.norm(G[:, 0]), atol=1e-12
-        )
-
-    def test_last_k_keeps_trailing_memory_column(self):
-        rng = np.random.default_rng(306)
-        G = rng.standard_normal((10, 3))
-        B = relax_basis(G, SolverConfig(relaxation=RELAX_LAST_K, k=1))
-        np.testing.assert_allclose(
-            np.abs(B[:, 0]), np.abs(G[:, 2]) / np.linalg.norm(G[:, 2]), atol=1e-12
-        )
 
     def test_pca_spans_nest_as_k_grows(self):
         rng = np.random.default_rng(307)
@@ -169,8 +147,8 @@ class TestRelaxBasis:
             bundle, _ = random_instance(rng, dim=16, n_mem=6)
             G = bundle.specific
             for k in (1, 2, 3):
-                B_k = relax_basis(G, SolverConfig(relaxation=RELAX_PCA, k=k))
-                B_k1 = relax_basis(G, SolverConfig(relaxation=RELAX_PCA, k=k + 1))
+                B_k = relax_basis(G, k)
+                B_k1 = relax_basis(G, k + 1)
                 out = B_k - B_k1 @ (B_k1.T @ B_k)
                 assert np.abs(out).max() < 1e-8
 
@@ -178,18 +156,11 @@ class TestRelaxBasis:
         rng = np.random.default_rng(308)
         for _ in range(20):
             bundle, B_full = random_instance(rng, dim=14, n_mem=5)
-            cfg = SolverConfig(relaxation=RELAX_PCA, k=max(B_full.shape[1], 1))
-            B_pca = relax_basis(bundle.specific, cfg)
+            B_pca = relax_basis(bundle.specific, max(B_full.shape[1], 1))
             w_a = solve_update(bundle.new_grad, bundle.shared, B_full).w
             w_b = solve_update(bundle.new_grad, bundle.shared, B_pca).w
             scale = max(np.linalg.norm(w_a), 1e-12)
             assert np.linalg.norm(w_a - w_b) < 1e-8 * scale
-
-    def test_config_validation(self):
-        with pytest.raises(ValueError):
-            SolverConfig(relaxation="nope")
-        with pytest.raises(ValueError):
-            SolverConfig(relaxation=RELAX_PCA)  # k missing
 
 
 class TestAgemUpdate:

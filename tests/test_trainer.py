@@ -19,7 +19,7 @@ from gradecomp.trainer import (
     train_sequence,
     train_step,
     variant_agem,
-    variant_from_letter,
+    variant_from_name,
     variant_ours,
     variant_single,
 )
@@ -140,8 +140,8 @@ class TestTrainStep:
         last_len = model.layout.segments[-1].length
         real = solver.decomposed_update
 
-        def flagging(bundle, cfg=solver.SolverConfig()):
-            res = real(bundle, cfg)
+        def flagging(bundle, k=None):
+            res = real(bundle, k)
             res.degenerate = bundle.dim == last_len
             return res
 
@@ -228,7 +228,7 @@ class TestTrainSequence:
         rows = {}
         for letter in ("a", "d"):
             cfg = TrainConfig(
-                seed=3, variant=variant_from_letter(letter), hidden_sizes=(6,)
+                seed=3, variant=variant_from_name(letter), hidden_sizes=(6,)
             )
             R, _ = train_sequence(stream, cfg)
             rows[letter] = R[0, 0]
@@ -301,10 +301,7 @@ class TestVariantEquivalences:
         stream = make_stream(14, T=2)
         results = {}
         for letter in ("b", "gem"):
-            variant = (
-                variant_from_letter("b") if letter == "b" else trainer.variant_gem()
-            )
-            cfg = TrainConfig(seed=4, variant=variant, hidden_sizes=(6,))
+            cfg = TrainConfig(seed=4, variant=variant_from_name(letter), hidden_sizes=(6,))
             R, _ = train_sequence(stream, cfg)
             results[letter] = R
         assert np.array_equal(results["b"], results["gem"], equal_nan=True)
@@ -326,24 +323,87 @@ class TestVariantEquivalences:
         assert np.array_equal(R[False], R[True], equal_nan=True)
 
     def test_variant_letter_mapping(self):
-        assert variant_from_letter("a").kind == "single"
-        assert variant_from_letter("b").kind == "agem"
-        assert variant_from_letter("c").lgu
-        assert variant_from_letter("d").kind == "ours"
-        assert variant_from_letter("e", k=2).solver_cfg.relaxation == "pca"
-        f = variant_from_letter("f")
+        assert variant_from_name("a").kind == "single"
+        assert variant_from_name("b").kind == "agem"
+        assert variant_from_name("c").lgu
+        assert variant_from_name("d").kind == "ours"
+        assert variant_from_name("e", k=2).pca_k == 2
+        f = variant_from_name("f")
         assert f.kind == "ours" and f.lgu
-        g = variant_from_letter("g", k=3)
-        assert g.solver_cfg.relaxation == "pca" and g.lgu
+        g = variant_from_name("g", k=3)
+        assert g.pca_k == 3 and g.lgu
         with pytest.raises(ValueError):
-            variant_from_letter("z")
+            variant_from_name("z")
+
+
+README_NAMES = (
+    "single", "agem", "agem+lgu", "sgem", "gem", "gem+lgu",
+    "ours", "ours+lgu", "ours+pca", "ours+pca+lgu",
+)
+
+
+class TestVariantNames:
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    @pytest.mark.parametrize("name", [*"abcdefg", *README_NAMES])
+    def test_printed_name_reads_back(self, name, k):
+        v = variant_from_name(name, k)
+        assert variant_from_name(v.name) == v
+        assert variant_from_name(v.name.upper(), k=k + 1) == v
+
+    def test_letters_and_names_agree(self):
+        for letter, name in trainer.LETTERS.items():
+            assert variant_from_name(letter, k=2) == variant_from_name(name, k=2)
+        assert variant_from_name("g", k=2).name == "ours+pca2+lgu"
+        assert [variant_from_name(n).name for n in README_NAMES] == [
+            "single", "agem", "agem+lgu", "sgem", "gem", "gem+lgu",
+            "ours", "ours+lgu", "ours+pca1", "ours+pca1+lgu",
+        ]
+
+    def test_principal_direction_k(self):
+        assert variant_from_name("e").pca_k == 1
+        assert variant_from_name("ours+pca", k=4).pca_k == 4
+        assert variant_from_name("ours+pca3", k=1).pca_k == 3
+        assert variant_from_name("d", k=4).pca_k is None
+
+    @pytest.mark.parametrize("k", [0, -1])
+    def test_k_below_one_rejected(self, k):
+        for name in ("e", "ours+pca+lgu", "d"):
+            with pytest.raises(ValueError, match="at least 1"):
+                variant_from_name(name, k=k)
+
+    @pytest.mark.parametrize(
+        "kwargs, message",
+        [
+            (dict(kind="warp"), "unknown method kind"),
+            (dict(kind="agem", pca_k=2), "takes no principal-direction k"),
+            (dict(kind="gem", pca_k=1, lgu=True), "takes no principal-direction k"),
+            (dict(kind="ours", pca_k=0), "at least 1"),
+            (dict(kind="ours", pca_k=-2, lgu=True), "at least 1"),
+            (dict(kind="ours", pca_k=2.5), "integer"),
+            (dict(kind="ours", pca_k=True), "integer"),
+            (dict(kind="single", lgu=True), "no per-layer form"),
+            (dict(kind="sgem", lgu=True), "no per-layer form"),
+        ],
+    )
+    def test_invalid_variant_rejected(self, kwargs, message):
+        with pytest.raises(ValueError, match=message):
+            trainer.MethodVariant(**kwargs)
+
+    @pytest.mark.parametrize(
+        "name",
+        ["warp", "h", "ours+pca0", "gem+pca2", "sgem+lgu", "single+lgu",
+         "ours+lgu+pca", "ours+", "+lgu", "", "ours pca", "ours+pca-1"],
+    )
+    def test_unknown_name_rejected(self, name):
+        with pytest.raises(ValueError):
+            variant_from_name(name, k=2)
 
 
 class TestRunAblation:
     def test_well_formed_table(self):
         stream = make_stream(17, T=2, npc=20)
         cfg = TrainConfig(seed=7, variant=variant_single(), hidden_sizes=(6,))
-        variants = [variant_from_letter(letter, k=1) for letter in "abcdefg"]
+        variants = [variant_from_name(letter, k=1) for letter in "abcdefg"]
         rows = trainer.run_ablation(stream, cfg, variants)
         assert len(rows) == 7
         names = [r.name for r in rows]
@@ -359,7 +419,7 @@ class TestRunAblation:
         stream = make_stream(18, T=2)
         cfg = TrainConfig(seed=8, variant=variant_single(), hidden_sizes=(6,))
         rows = trainer.run_ablation(
-            stream, cfg, [variant_from_letter("b"), variant_from_letter("d")]
+            stream, cfg, [variant_from_name("b"), variant_from_name("d")]
         )
         assert rows[0].acc == rows[1].acc
         assert rows[0].bwt == rows[1].bwt
