@@ -55,10 +55,10 @@ key), 3 runtime failure (non-finite abort, file I/O).
 
 Per-variant outputs: ``matrix.csv`` (header row of task ids, one row per
 step), ``summary.json`` (acc, bwt, iteration count, timing block),
-``run_log.jsonl`` (one record per training iteration), ``manifest.json``
-(config snapshot, seed, timestamps, output paths, code version).  All
-outputs except the manifest timestamps and the timing fields are
-byte-reproducible under a fixed seed.
+``run_log.jsonl`` (one record per training iteration, no timings),
+``manifest.json`` (config snapshot, seed, timestamps, output paths, code
+version).  All outputs except the manifest timestamps and the summary's
+timing block are byte-reproducible under a fixed seed.
 """
 
 from __future__ import annotations
@@ -233,8 +233,13 @@ def _validate(config: dict) -> None:
             "must be a boolean")
     train = config["train"]
     eta = train["eta"]
-    _expect((_is_int(eta) or isinstance(eta, float)) and eta > 0, "train.eta",
-            "must be a positive number")
+    # the upper bound rejects infinities and integers too large for a float;
+    # NaN fails both comparisons
+    _expect(
+        (_is_int(eta) or isinstance(eta, float)) and 0 < eta <= sys.float_info.max,
+        "train.eta",
+        "must be a positive finite number",
+    )
     for key in ("epochs", "bs_new", "bs_old", "memory_size"):
         _expect(_is_int(train[key]) and train[key] >= 1, f"train.{key}",
                 "must be a positive integer")
@@ -337,9 +342,13 @@ def read_matrix_csv(path: Path) -> np.ndarray:
 
 
 def write_run_log(path: Path, log: list[trainer.StepTrace]) -> None:
+    """One JSON record per step, without ``solver_seconds``: the log holds
+    only deterministic fields, and the solver timings are summed into the
+    ``timing`` block of ``summary.json``."""
     with open(path, "w", encoding="utf-8") as fh:
         for trace in log:
             record = dataclasses.asdict(trace)
+            del record["solver_seconds"]
             fh.write(json.dumps(record, sort_keys=True) + "\n")
 
 

@@ -4,16 +4,17 @@ per-memory specific components.
 Old-task gradients travel as one C-ordered ``(m, n)`` matrix ``G``, row
 ``i`` the gradient of memory ``i`` in ascending task order, as
 :meth:`MlpModel.loss_and_grad` returns them for stacked memory batches;
-a list of ``n``-vectors is accepted too and stacked once.
+a list of ``n``-vectors is accepted too and stacked once.  ``G`` is the
+only stored form of the memory gradients.
 
 The shared component is the plain mean of the rows; each specific
-component is that task's deviation from the mean.  The specific columns
-sum to the zero vector, so in exact arithmetic the specific matrix of
-``t - 1`` stored memories has rank at most ``t - 2``.  In floating point
-the subtraction leaves rounding noise of about 1e-16 of the shared
-gradient's norm, and on nearly collinear memories the basis rank test
-can keep that noise as one more direction, an open defect: 785 of 2,000
-adversarial zero-sum inputs get a basis of rank ``m``.
+component is that task's deviation from the mean.  The ``(n, m)``
+specific matrix ``(G - shared).T`` is worked out each time
+:attr:`GradientBundle.specific` is read.  Its columns sum to the zero
+vector, so in exact arithmetic it has rank at most ``m - 1`` and its
+first ``m - 1`` columns span it; in floating point the last column adds
+only rounding noise, which is why the full constraint basis is built
+from those first ``m - 1`` columns (see :func:`solver.relax_basis`).
 """
 
 from __future__ import annotations
@@ -46,34 +47,18 @@ def shared_gradient(old_grads) -> np.ndarray:
     return G.sum(axis=0) / G.shape[0]
 
 
-def task_specific_gradients(old_grads, shared: np.ndarray) -> np.ndarray:
-    """Column ``i`` is ``old_grads[i] - shared``; columns sum to zero.
-
-    The ``(n, m)`` result is the transposed view of one ``(m, n)``
-    difference.
-    """
-    G = _as_matrix(old_grads)
-    shared = np.asarray(shared, dtype=np.float64)
-    if shared.shape != (G.shape[1],):
-        raise ValueError(
-            f"shared gradient has shape {shared.shape}, expected ({G.shape[1]},)"
-        )
-    return (G - shared).T
-
-
 @dataclass
 class GradientBundle:
     """New-task gradient plus the decomposed old-task gradients.
 
     ``old_grads`` is the ``(m, n)`` matrix of memory gradients (``None``
-    becomes an empty ``(0, n)`` one); ``shared`` is ``None`` and
-    ``specific`` has zero columns when there are no old tasks yet.
+    becomes an empty ``(0, n)`` one); ``shared`` is ``None`` when there
+    are no old tasks yet.
     """
 
     new_grad: np.ndarray
     old_grads: np.ndarray | None = None
     shared: np.ndarray | None = None
-    specific: np.ndarray | None = None
 
     def __post_init__(self):
         if self.old_grads is None:
@@ -87,6 +72,14 @@ class GradientBundle:
     def n_memories(self) -> int:
         return int(self.old_grads.shape[0])
 
+    @property
+    def specific(self) -> np.ndarray:
+        """The ``(n, m)`` specific matrix: column ``i`` is ``old_grads[i] -
+        shared``; ``(n, 0)`` when ``shared`` is ``None``."""
+        if self.shared is None:
+            return linalg.empty_basis(self.dim)
+        return (self.old_grads - self.shared).T
+
 
 def decompose(new_grad: np.ndarray, old_grads) -> GradientBundle:
     """Build a :class:`GradientBundle` from raw gradients.
@@ -99,19 +92,11 @@ def decompose(new_grad: np.ndarray, old_grads) -> GradientBundle:
     if new_grad.ndim != 1:
         raise ValueError("new-task gradient must be a vector")
     if len(old_grads) == 0:
-        return GradientBundle(
-            new_grad=new_grad, specific=linalg.empty_basis(new_grad.shape[0])
-        )
+        return GradientBundle(new_grad=new_grad)
     G = _as_matrix(old_grads)
     if G.shape[1] != new_grad.shape[0]:
         raise ValueError(
             f"old gradients have dimension {G.shape[1]}, new gradient has "
             f"{new_grad.shape[0]}"
         )
-    shared = shared_gradient(G)
-    return GradientBundle(
-        new_grad=new_grad,
-        old_grads=G,
-        shared=shared,
-        specific=task_specific_gradients(G, shared),
-    )
+    return GradientBundle(new_grad=new_grad, old_grads=G, shared=shared_gradient(G))

@@ -4,7 +4,10 @@ A flat parameter vector is segmented by a :class:`ParamLayout`;
 :func:`layerwise_solve` applies one update rule to every segment's slice
 of a gradient bundle, so every layer decides its own branch instead of
 being dominated by whichever layer carries the largest gradient
-magnitudes.  Every rule in per-layer mode goes through it.
+magnitudes.  Every rule in per-layer mode goes through it.  A segment's
+bundle holds slices of the new-task gradient, the shared gradient and
+the ``(m, n)`` memory matrix; its specific matrix is derived from those
+when a rule reads it.
 """
 
 from __future__ import annotations
@@ -89,28 +92,19 @@ class LossChangeReport:
     realized_delta: float
 
 
-def split_by_layer(v: np.ndarray, layout: ParamLayout) -> list[np.ndarray]:
-    """Per-segment views of ``v`` in layout order."""
-    v = np.asarray(v)
-    if v.ndim != 1 or v.shape[0] != layout.total:
-        raise ValueError(
-            f"vector of dimension {v.shape} does not match layout total {layout.total}"
-        )
-    return [v[s] for s in layout.slices()]
-
-
 def layerwise_solve(
     bundle: GradientBundle, layout: ParamLayout, rule: Rule
 ) -> UpdateResult:
     """Apply ``rule`` independently to every layout segment of ``bundle``.
 
-    Each segment sees the new-task, shared and specific (when present)
-    gradients and the ``(m, n)`` old-task matrix restricted to that
-    segment's coordinates: one slice of each, the old-task one an
-    ``(m, length)`` view (the mean and the subtraction commute with
-    slicing).  The per-segment updates are concatenated in layout order;
-    the alignment is summed and the branch is ``project_only`` only if
-    every segment projected.
+    Each segment sees the new-task and shared gradients and the
+    ``(m, n)`` old-task matrix restricted to that segment's coordinates:
+    one slice of each, the old-task one an ``(m, length)`` view.  A rule
+    that reads the segment's specific matrix gets it from those two
+    slices (the mean and the subtraction commute with slicing).  The
+    per-segment updates are concatenated in layout order; the alignment
+    is summed and the branch is ``project_only`` only if every segment
+    projected.
     """
     if bundle.shared is None:
         raise ValueError("bundle has no old-task gradients to constrain against")
@@ -118,7 +112,6 @@ def layerwise_solve(
         raise ValueError(
             f"bundle dimension {bundle.dim} does not match layout total {layout.total}"
         )
-    specific, old = bundle.specific, bundle.old_grads
     w = np.empty(layout.total)
     per_layer: list[tuple[str, UpdateResult]] = []
     total_alignment = 0.0
@@ -128,9 +121,8 @@ def layerwise_solve(
         res = rule(
             GradientBundle(
                 new_grad=bundle.new_grad[sl],
-                old_grads=old[:, sl],
+                old_grads=bundle.old_grads[:, sl],
                 shared=bundle.shared[sl],
-                specific=None if specific is None else specific[sl, :],
             )
         )
         w[sl] = res.w

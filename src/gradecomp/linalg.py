@@ -13,7 +13,9 @@ the rows.
 All kernels work on plain float64 numpy arrays.  Vectors are 1-D arrays;
 bases and column collections are 2-D arrays whose columns are the vectors
 of interest.  A basis with zero columns (shape ``(n, 0)``) is a valid
-value everywhere and means "no constraints".
+value everywhere and means "no constraints".  A basis matters only
+through the span of its columns, that is through the projector
+``I - B B'``, so its column signs are not part of any kernel's contract.
 """
 
 from __future__ import annotations
@@ -32,18 +34,6 @@ def _as_matrix(X) -> np.ndarray:
     return X
 
 
-def _leading_entries(P: np.ndarray) -> np.ndarray:
-    """First entry of magnitude above 1e-12 in each column of ``P`` (the
-    first entry where a column has none)."""
-    big = np.abs(P) > 1e-12
-    return P[big.argmax(axis=0), np.arange(P.shape[1])]
-
-
-def _signs(lead: np.ndarray) -> np.ndarray:
-    """-1.0 where a leading entry is negative, else 1.0."""
-    return np.where(lead < -1e-12, -1.0, 1.0)
-
-
 def empty_basis(n_rows: int) -> np.ndarray:
     return np.zeros((n_rows, 0))
 
@@ -53,8 +43,8 @@ def modified_gram_schmidt(X, rel_tol: float = DEFAULT_RANK_TOL) -> np.ndarray:
 
     Contract: columns are taken left to right, and a column is dropped
     when its residual against the columns kept before it falls below
-    ``rel_tol`` times the largest input column norm.  Each output column
-    has its first entry of magnitude above 1e-12 positive.
+    ``rel_tol`` times the largest input column norm.  The basis is
+    defined up to the signs of its columns.
 
     Algorithm (one Householder QR, its reflectors accumulated in compact
     WY form):
@@ -77,8 +67,7 @@ def modified_gram_schmidt(X, rel_tol: float = DEFAULT_RANK_TOL) -> np.ndarray:
 
     ``B`` is orthonormal and spans the kept columns to working precision
     whatever the conditioning of ``X``, because no triangular factor is
-    inverted against ``X``.  The column signs are decided on the first
-    row of ``B`` and folded into the GEMM.
+    inverted against ``X``.
 
     Returns a C-contiguous ``(n_rows, k)`` matrix ``B`` with orthonormal
     columns spanning the kept columns.  Empty or all-zero input yields
@@ -137,18 +126,9 @@ def modified_gram_schmidt(X, rel_tol: float = DEFAULT_RANK_TOL) -> np.ndarray:
     T_inv = np.triu(V.T @ V, 1)
     np.fill_diagonal(T_inv, 1.0 / np.where(live, tau, 1.0))
     Y = np.linalg.solve(T_inv, V[:r].T @ C)
-
-    # column signs from the first row of B, folded into the product
-    lead = C[0] - V[0] @ Y
-    if np.abs(lead).min() > 1e-12:
-        signs = np.sign(lead)
-        C *= signs
-        B = V @ (Y * -signs)
-        B[:r] += C
-        return B
     B = V @ -Y
     B[:r] += C
-    return B * _signs(_leading_entries(B))
+    return B
 
 
 def gram_pca(G, K: int, rel_tol: float = DEFAULT_RANK_TOL) -> np.ndarray:
@@ -158,7 +138,7 @@ def gram_pca(G, K: int, rel_tol: float = DEFAULT_RANK_TOL) -> np.ndarray:
     ``numpy.linalg.eigh`` and map the leading eigenvectors back through
     ``G``.  Eigenvalues at or below ``rel_tol`` times the largest are
     treated as rank deficiency, so the result has
-    ``min(K, numerical rank of G)`` columns.
+    ``min(K, numerical rank of G)`` columns, each defined up to its sign.
     """
     if K < 1:
         raise ValueError("K must be at least 1")
@@ -193,8 +173,7 @@ def gram_pca(G, K: int, rel_tol: float = DEFAULT_RANK_TOL) -> np.ndarray:
         cols.append(u)
     if not cols:
         return empty_basis(n_rows)
-    P = np.column_stack(cols)
-    return P * _signs(_leading_entries(P))
+    return np.column_stack(cols)
 
 
 def apply_projection(B, v) -> np.ndarray:

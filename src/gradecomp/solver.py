@@ -142,11 +142,18 @@ def qp_oracle(g: np.ndarray, g_bar: np.ndarray, B: np.ndarray) -> np.ndarray:
 
 
 def relax_basis(G_specific: np.ndarray, k: int | None = None) -> np.ndarray:
-    """Constraint basis for a specific-gradient matrix: an orthonormal
-    basis of its whole column space when ``k`` is ``None``, else its
-    top-``k`` principal directions."""
+    """Constraint basis for an ``(n, m)`` specific-gradient matrix: an
+    orthonormal basis of its whole column space when ``k`` is ``None``,
+    else its top-``k`` principal directions.
+
+    The columns sum to zero, so the first ``m - 1`` of them span the
+    matrix; the full basis is built from those alone, because the last
+    column adds no direction, only the rounding noise of the deviations.
+    The principal directions read all ``m`` columns, since dropping one
+    would change ``G_specific G_specific'``.
+    """
     if k is None:
-        return linalg.modified_gram_schmidt(G_specific)
+        return linalg.modified_gram_schmidt(G_specific[:, :-1])
     return linalg.gram_pca(G_specific, k)
 
 

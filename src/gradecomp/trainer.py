@@ -29,6 +29,7 @@ replay-buffer split   53
 
 from __future__ import annotations
 
+import math
 import numbers
 import re
 import time
@@ -169,8 +170,12 @@ class TrainConfig:
     per_tensor_layout: bool = False
 
     def __post_init__(self):
-        if self.eta <= 0.0:
-            raise ValueError("eta must be positive")
+        if not (math.isfinite(self.eta) and self.eta > 0.0):
+            raise ValueError(f"eta must be positive and finite, got {self.eta}")
+        if self.memory_policy not in mem.POLICIES:
+            raise ValueError(
+                f"memory_policy must be one of {mem.POLICIES}, got {self.memory_policy!r}"
+            )
         if self.epochs < 1:
             raise ValueError("epochs must be at least 1")
         if min(self.bs_new, self.bs_old, self.memory_size) < 1:

@@ -90,6 +90,13 @@ class TestConfigHandling:
         assert f"config key {key!r}" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("eta", ["Infinity", "-Infinity", "NaN", "1e400", "0"])
+    def test_non_finite_or_non_positive_eta_exit_2(self, tmp_path, capsys, eta):
+        code = cli.main(["run", f"out_dir={tmp_path / 'out'}", f"train.eta={eta}"])
+        assert code == 2
+        assert "config key 'train.eta'" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
     def test_unknown_variant_name_exit_2(self, tmp_path, capsys):
         path = write_config(tmp_path, variants=["a", "warp"])
         code = cli.main(["run", str(path)])
@@ -141,17 +148,23 @@ class TestCmdRun:
         log_lines = (out / "run_log.jsonl").read_text().strip().splitlines()
         assert len(log_lines) == summary["iterations"]
         record = json.loads(log_lines[0])
-        assert {"task", "iteration", "loss_new", "solver_seconds"} <= set(record)
+        assert {"task", "iteration", "loss_new"} <= set(record)
+        assert "solver_seconds" not in record
+        assert summary["timing"]["solver_seconds_total"] >= 0.0
 
     def test_repeat_runs_byte_identical_csv(self, tmp_path):
         path = write_config(tmp_path, variants=["d"])
+        out = tmp_path / "out" / "d"
         assert cli.main(["run", str(path)]) == 0
-        first = (tmp_path / "out" / "d" / "matrix.csv").read_bytes()
-        first_summary = json.loads((tmp_path / "out" / "d" / "summary.json").read_text())
+        first = (out / "matrix.csv").read_bytes()
+        first_log = (out / "run_log.jsonl").read_bytes()
+        first_summary = json.loads((out / "summary.json").read_text())
         assert cli.main(["run", str(path)]) == 0
-        second = (tmp_path / "out" / "d" / "matrix.csv").read_bytes()
-        second_summary = json.loads((tmp_path / "out" / "d" / "summary.json").read_text())
+        second = (out / "matrix.csv").read_bytes()
+        second_log = (out / "run_log.jsonl").read_bytes()
+        second_summary = json.loads((out / "summary.json").read_text())
         assert first == second
+        assert first_log == second_log
         first_summary.pop("timing")
         second_summary.pop("timing")
         assert first_summary == second_summary

@@ -4,11 +4,7 @@ import numpy as np
 import pytest
 
 from gradecomp import linalg
-from gradecomp.decomp import (
-    decompose,
-    shared_gradient,
-    task_specific_gradients,
-)
+from gradecomp.decomp import decompose, shared_gradient
 
 
 class TestSharedGradient:
@@ -34,26 +30,29 @@ class TestSharedGradient:
 
 
 class TestTaskSpecificGradients:
+    """``decompose(...).specific``: column ``i`` is memory ``i`` minus the mean."""
+
     def test_axis_vector_arithmetic(self):
         old = [np.array([1.0, 0.0]), np.array([0.0, 1.0])]
-        G = task_specific_gradients(old, np.array([0.5, 0.5]))
+        G = decompose(np.zeros(2), old).specific
         np.testing.assert_allclose(G[:, 0], [0.5, -0.5])
         np.testing.assert_allclose(G[:, 1], [-0.5, 0.5])
 
     def test_identical_old_gradients_give_zero_columns(self):
         old = [np.array([1.0, 2.0])] * 3
-        G = task_specific_gradients(old, np.array([1.0, 2.0]))
+        G = decompose(np.zeros(2), old).specific
         assert np.abs(G).max() == 0.0
 
     def test_standard_basis_example(self):
         old = [np.eye(3)[i] for i in range(3)]
-        G = task_specific_gradients(old, shared_gradient(old))
+        G = decompose(np.zeros(3), old).specific
         for i in range(3):
             np.testing.assert_allclose(G[:, i], np.eye(3)[i] - 1.0 / 3.0)
 
     def test_dimension_mismatch_rejected(self):
+        # the new-task gradient must match the memory rows' length
         with pytest.raises(ValueError):
-            task_specific_gradients([np.zeros(2)], np.zeros(3))
+            decompose(np.zeros(3), [np.zeros(2)])
 
 
 class TestBundleInvariants:

@@ -9,7 +9,6 @@ from gradecomp.layerwise import (
     ParamLayout,
     layerwise_solve,
     predicted_loss_change,
-    split_by_layer,
 )
 from gradecomp.solver import (
     PROJECT_AND_REFLECT,
@@ -37,29 +36,6 @@ class TestParamLayout:
             ParamLayout(segments=(), total=0)
         with pytest.raises(ValueError):
             ParamLayout(segments=(Segment("a", 0, 2), Segment("b", 1, 2)), total=3)
-
-
-class TestSplitByLayer:
-    def test_two_segments(self):
-        v = np.array([1.0, 2.0, 3.0, 4.0])
-        parts = split_by_layer(v, layout_of(2, 2))
-        np.testing.assert_array_equal(parts[0], [1.0, 2.0])
-        np.testing.assert_array_equal(parts[1], [3.0, 4.0])
-
-    def test_single_segment(self):
-        v = np.array([5.0, 6.0])
-        (part,) = split_by_layer(v, layout_of(2))
-        np.testing.assert_array_equal(part, v)
-
-    def test_round_trip(self):
-        rng = np.random.default_rng(400)
-        v = rng.standard_normal(11)
-        parts = split_by_layer(v, layout_of(3, 7, 1))
-        np.testing.assert_array_equal(np.concatenate(parts), v)
-
-    def test_dimension_mismatch(self):
-        with pytest.raises(ValueError):
-            split_by_layer(np.zeros(3), layout_of(2, 2))
 
 
 class TestLayerwiseSolve:

@@ -152,6 +152,19 @@ class TestRelaxBasis:
                 out = B_k - B_k1 @ (B_k1.T @ B_k)
                 assert np.abs(out).max() < 1e-8
 
+    def test_near_collinear_memories_never_give_m_directions(self):
+        # the family of verify.suite_basis_adversarial: m specific columns
+        # summing to zero span at most m - 1 directions, and the rounding
+        # noise of the deviations must not be kept as an m-th
+        rng = np.random.default_rng(309)
+        for _ in range(300):
+            dim, m = int(rng.integers(5, 400)), int(rng.integers(2, 20))
+            spread = 10.0 ** rng.uniform(-12.0, 0.0)
+            scales = 10.0 ** rng.uniform(-3.0, 3.0, size=(m, 1))
+            old = rng.standard_normal(dim) + spread * scales * rng.standard_normal((m, dim))
+            bundle = decompose(rng.standard_normal(dim), old)
+            assert relax_basis(bundle.specific).shape[1] < m
+
     def test_same_span_gives_same_update(self):
         rng = np.random.default_rng(308)
         for _ in range(20):

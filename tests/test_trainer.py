@@ -399,6 +399,22 @@ class TestVariantNames:
             variant_from_name(name, k=2)
 
 
+class TestTrainConfig:
+    @pytest.mark.parametrize(
+        "kwargs, message",
+        [
+            (dict(eta=float("nan")), "eta"),
+            (dict(eta=float("inf")), "eta"),
+            (dict(eta=0.0), "eta"),
+            (dict(eta=-0.1), "eta"),
+            (dict(memory_policy="fifo"), "memory_policy"),
+        ],
+    )
+    def test_invalid_setting_rejected(self, kwargs, message):
+        with pytest.raises(ValueError, match=message):
+            TrainConfig(**kwargs)
+
+
 class TestRunAblation:
     def test_well_formed_table(self):
         stream = make_stream(17, T=2, npc=20)
