@@ -13,7 +13,6 @@ from gradecomp import (
     agem_update,
     decompose,
     gem_qp_update,
-    modified_gram_schmidt,
     qp_oracle,
     relax_basis,
     sgem_update,
@@ -41,7 +40,7 @@ for _ in range(200):
     dim = int(rng.integers(4, 40))
     old = [rng.standard_normal(dim) for _ in range(int(rng.integers(2, 7)))]
     bundle = decompose(rng.standard_normal(dim), old)
-    basis = modified_gram_schmidt(bundle.specific)
+    basis = relax_basis(bundle.specific)
     w_fast = solve_update(bundle.new_grad, bundle.shared, basis).w
     w_slow = qp_oracle(bundle.new_grad, bundle.shared, basis)
     scale = max(np.linalg.norm(w_slow), np.linalg.norm(bundle.new_grad))

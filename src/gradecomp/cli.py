@@ -51,7 +51,7 @@ principal-direction name without its own ``N`` takes ``pca_k``; the
 ``ours+pca`` or ``ours+pca+lgu``).
 
 Exit codes: 0 success, 2 invalid config (message names the offending
-key), 3 runtime failure (non-finite abort, file I/O).
+key), 3 runtime failure (non-finite abort, file I/O, a malformed data file).
 
 Per-variant outputs: ``matrix.csv`` (header row of task ids, one row per
 step), ``summary.json`` (acc, bwt, iteration count, timing block),

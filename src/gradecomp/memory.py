@@ -1,25 +1,18 @@
 """Per-task replay memories, the growing coreset, batch sampling, and
 pooled re-splitting for boundary-free training.
-
-Snapshot format mirrors the model checkpoint conventions: little-endian
-binary with an 8-byte magic, int64 header fields, a float64 feature
-payload, and int64 labels, with nothing after the last memory.
 """
 
 from __future__ import annotations
 
-import struct
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .model import Batch, expect_end, read_exact
+from .model import Batch
 
 POLICY_RING = "ring"
 POLICY_RESERVOIR = "reservoir"
 POLICIES = (POLICY_RING, POLICY_RESERVOIR)
-
-SNAPSHOT_MAGIC = b"GDMEMv1\0"
 
 
 @dataclass
@@ -151,44 +144,3 @@ def split_replay_buffer(
             )
         )
     return parts
-
-
-def save_memory_snapshot(coreset: Coreset, path) -> None:
-    with open(path, "wb") as fh:
-        fh.write(SNAPSHOT_MAGIC)
-        fh.write(struct.pack("<q", len(coreset.memories)))
-        for mem in coreset.memories:
-            n, d = mem.features.shape if len(mem) else (0, 0)
-            fh.write(struct.pack("<qqqq", mem.task_id, mem.capacity, n, d))
-            fh.write(mem.features.astype("<f8").tobytes())
-            fh.write(mem.labels.astype("<i8").tobytes())
-
-
-def load_memory_snapshot(path) -> Coreset:
-    with open(path, "rb") as fh:
-        magic = fh.read(len(SNAPSHOT_MAGIC))
-        if magic != SNAPSHOT_MAGIC:
-            raise ValueError(f"{path}: not a memory snapshot: bad magic {magic!r}")
-        (count,) = struct.unpack("<q", read_exact(fh, 8, path))
-        if count < 0:
-            raise ValueError(f"{path}: negative memory count {count}")
-        coreset = Coreset()
-        for _ in range(count):
-            task_id, capacity, n, d = struct.unpack("<qqqq", read_exact(fh, 32, path))
-            if n < 0 or d < 0:
-                raise ValueError(f"{path}: memory of {n} items of width {d}")
-            features = np.frombuffer(read_exact(fh, n * d * 8, path), dtype="<f8")
-            labels = np.frombuffer(read_exact(fh, n * 8, path), dtype="<i8")
-            try:
-                coreset.add(
-                    EpisodicMemory(
-                        task_id=task_id,
-                        capacity=capacity,
-                        features=features.reshape(n, d).copy(),
-                        labels=labels.copy(),
-                    )
-                )
-            except ValueError as exc:  # capacity below the item count, task order
-                raise ValueError(f"{path}: {exc}") from None
-        expect_end(fh, path)
-    return coreset

@@ -9,44 +9,16 @@ the loss is mean softmax cross-entropy.  One backprop serves both the
 new-task gradient (one batch, one ``(n,)`` vector) and the replay
 memories (m stacked equal-sized batches, one ``(m, n)`` matrix whose
 row ``k`` is the gradient of batch ``k``'s own mean loss).
-
-Checkpoint format (little-endian): 8-byte magic ``b"GDMLPv2\\0"``, int64
-count of layer sizes, the layer sizes as int64, the init seed as int64,
-the per-tensor layout flag as int64 (0 or 1), then the parameter payload
-as float64 and nothing after it.
 """
 
 from __future__ import annotations
 
-import os
-import struct
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .layerwise import ParamLayout
-
-CHECKPOINT_MAGIC = b"GDMLPv2\0"
-
-
-def read_exact(fh, n: int, path) -> bytes:
-    """Exactly ``n`` bytes from ``fh``; fewer left means ``path`` is
-    truncated.  Checked before reading, so a corrupt length in a header
-    never allocates more than the file holds."""
-    offset = fh.tell()
-    left = os.fstat(fh.fileno()).st_size - offset
-    if n > left:
-        raise ValueError(
-            f"{path}: truncated file: needed {n} bytes at offset {offset}, found {left}"
-        )
-    return fh.read(n)
-
-
-def expect_end(fh, path) -> None:
-    """Raise unless ``fh`` is at the end of ``path``."""
-    extra = len(fh.read())
-    if extra:
-        raise ValueError(f"{path}: {extra} trailing bytes after the last field")
 
 
 @dataclass
@@ -103,7 +75,6 @@ class MlpModel:
             raise ValueError("layer sizes must be positive")
         self.layer_sizes = [int(s) for s in layer_sizes]
         self.seed = int(seed)
-        self.per_tensor_layout = bool(per_tensor_layout)
         self.layout = _build_layout(self.layer_sizes, per_tensor_layout)
         self.params = np.zeros(self.layout.total)
         self._bind_views()
@@ -244,8 +215,8 @@ class MlpModel:
             raise ValueError(
                 f"update has shape {w.shape}, parameters have {self.params.shape}"
             )
-        if eta < 0.0:
-            raise ValueError("eta must be non-negative")
+        if not (math.isfinite(eta) and eta >= 0.0):
+            raise ValueError(f"eta must be non-negative and finite, got {eta}")
         self.params -= eta * w
 
     def evaluate(self, batch: Batch, class_subset: np.ndarray | None = None) -> float:
@@ -266,43 +237,7 @@ class MlpModel:
         other = MlpModel.__new__(MlpModel)
         other.layer_sizes = list(self.layer_sizes)
         other.seed = self.seed
-        other.per_tensor_layout = self.per_tensor_layout
         other.layout = self.layout
         other.params = self.params.copy()
         other._bind_views()
         return other
-
-    def save_checkpoint(self, path) -> None:
-        with open(path, "wb") as fh:
-            fh.write(CHECKPOINT_MAGIC)
-            fh.write(struct.pack("<q", len(self.layer_sizes)))
-            for s in self.layer_sizes:
-                fh.write(struct.pack("<q", s))
-            fh.write(struct.pack("<q", self.seed))
-            fh.write(struct.pack("<q", int(self.per_tensor_layout)))
-            fh.write(self.params.astype("<f8").tobytes())
-
-    @classmethod
-    def load_checkpoint(cls, path) -> "MlpModel":
-        with open(path, "rb") as fh:
-            magic = fh.read(len(CHECKPOINT_MAGIC))
-            if magic != CHECKPOINT_MAGIC:
-                raise ValueError(f"{path}: not a model checkpoint: bad magic {magic!r}")
-            (n_sizes,) = struct.unpack("<q", read_exact(fh, 8, path))
-            if n_sizes < 2:
-                raise ValueError(f"{path}: {n_sizes} layer sizes, need at least 2")
-            sizes = list(struct.unpack(f"<{n_sizes}q", read_exact(fh, 8 * n_sizes, path)))
-            if min(sizes) < 1:
-                raise ValueError(f"{path}: layer sizes {sizes} must be positive")
-            (seed,) = struct.unpack("<q", read_exact(fh, 8, path))
-            (per_tensor,) = struct.unpack("<q", read_exact(fh, 8, path))
-            if per_tensor not in (0, 1):
-                raise ValueError(f"{path}: layout flag {per_tensor} is not 0 or 1")
-            # the payload the sizes declare must be in the file before the
-            # parameter vector is allocated
-            n_params = sum(a * b + b for a, b in zip(sizes[:-1], sizes[1:]))
-            payload = read_exact(fh, n_params * 8, path)
-            expect_end(fh, path)
-        model = cls(sizes, seed=seed, per_tensor_layout=bool(per_tensor))
-        model.params[...] = np.frombuffer(payload, dtype="<f8")
-        return model

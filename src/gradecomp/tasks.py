@@ -10,6 +10,7 @@ pure functions of their inputs and a seed.
 from __future__ import annotations
 
 import csv
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -208,13 +209,16 @@ def load_csv_dataset(path, label_column) -> tuple[Batch, Batch]:
     """Parse a numeric CSV into a stratified train/test batch pair.
 
     The label column is selected by header name or zero-based index; the
-    remaining columns become features in file order.  Labels are mapped
-    to contiguous class indices in sorted order.  Features are
-    standardized to zero mean and unit variance using train-split
-    statistics only (constant columns are left unscaled).  The split
-    takes the leading 80% of each class in file order, so loading is
-    fully deterministic.  Files too small to yield any test rows return
-    the train batch as the test batch.
+    remaining columns become features in file order.  Every feature cell
+    must be a finite number and every label an integer in the int64
+    range (``1.0`` is label 1); any other cell raises a ``ValueError``
+    that names the file, row and column.  Labels are mapped to contiguous
+    class indices in sorted order.  Features are standardized to zero
+    mean and unit variance using train-split statistics only (constant
+    columns are left unscaled).  The split takes the leading 80% of each
+    class in file order, so loading is fully deterministic.  Files too
+    small to yield any test rows return the train batch as the test
+    batch.
     """
     try:
         fh = open(path, newline="", encoding="utf-8")
@@ -249,31 +253,21 @@ def load_csv_dataset(path, label_column) -> tuple[Batch, Batch]:
                 f"label column index {label_idx} out of range for {n_cols} columns"
             )
 
-    features = []
-    raw_labels = []
     for r, row in enumerate(rows):
         if len(row) != n_cols:
             raise ValueError(f"{path}: row {r + 1} has {len(row)} cells, expected {n_cols}")
-        feat = []
-        for c, cell in enumerate(row):
-            if c == label_idx:
-                continue
-            try:
-                feat.append(float(cell))
-            except ValueError:
-                raise ValueError(
-                    f"{path}: non-numeric cell {cell!r} at row {r + 1}, column {c + 1}"
-                ) from None
-        try:
-            raw_labels.append(int(float(row[label_idx])))
-        except ValueError:
-            raise ValueError(
-                f"{path}: non-integer label {row[label_idx]!r} at row {r + 1}"
-            ) from None
-        features.append(feat)
-
-    inputs = np.asarray(features, dtype=np.float64)
-    raw = np.asarray(raw_labels, dtype=np.int64)
+    values = np.array([[_float_or_nan(cell) for cell in row] for row in rows])
+    raw = values[:, label_idx]
+    bad = ~np.isfinite(values)
+    bad[:, label_idx] = ~((raw == np.round(raw)) & (np.abs(raw) < 2.0**63))
+    if bad.any():
+        r, c = np.argwhere(bad)[0]
+        kind = "an int64 integer" if c == label_idx else "a finite number"
+        raise ValueError(
+            f"{path}: cell {rows[r][c]!r} at row {r + 1}, column {c + 1} is not {kind}"
+        )
+    inputs = np.delete(values, label_idx, axis=1)
+    raw = raw.astype(np.int64)
     classes = np.unique(raw)
     labels = np.searchsorted(classes, raw)
 
@@ -289,6 +283,13 @@ def load_csv_dataset(path, label_column) -> tuple[Batch, Batch]:
     else:
         test = Batch(inputs[tr].copy(), labels[tr].copy())
     return train, test
+
+
+def _float_or_nan(cell: str) -> float:
+    try:
+        return float(cell)
+    except ValueError:
+        return math.nan
 
 
 def _is_number(cell: str) -> bool:

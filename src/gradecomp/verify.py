@@ -34,6 +34,30 @@ def _random_bundle(rng: np.random.Generator, dim: int, n_mem: int):
     return decompose(g, old)
 
 
+def _near_collinear_bundle(rng: np.random.Generator, max_dim: int = 400):
+    """2-19 memories around one common gradient, spread 1e-12..1 and
+    per-memory scales 1e-3..1e3, in ``5..max_dim - 1`` dimensions."""
+    dim = int(rng.integers(5, max_dim))
+    n_mem = int(rng.integers(2, 20))
+    spread = 10.0 ** rng.uniform(-12.0, 0.0)
+    scales = 10.0 ** rng.uniform(-3.0, 3.0, size=n_mem)
+    base = rng.standard_normal(dim)
+    old = [base + spread * s * rng.standard_normal(dim) for s in scales]
+    return decompose(rng.standard_normal(dim), old)
+
+
+SOLVER_FAMILIES = ("random", "near_collinear")
+
+
+def _solver_bundle(rng: np.random.Generator, family: str, min_mem: int):
+    """One instance of the solver suites, in the 4..64 dimensions where
+    the dense KKT oracle is cheap."""
+    if family == "near_collinear":
+        return _near_collinear_bundle(rng, max_dim=65)
+    dim = int(rng.integers(4, 65))
+    return _random_bundle(rng, dim, int(rng.integers(min_mem, 9)))
+
+
 def suite_solver_vs_oracle(
     n_instances: int = 500,
     seed: int = 2024,
@@ -42,18 +66,20 @@ def suite_solver_vs_oracle(
 ) -> SuiteResult:
     """Closed-form solutions must match the brute-force KKT oracle.
 
-    ``solve_fn`` defaults to the production solver; it is injectable so
-    a deliberately broken solver can be shown to trip the suite.
+    Instances alternate between random memories and near-collinear ones
+    (spread 1e-12..1, per-memory scales 1e-3..1e3); the basis comes from
+    :func:`solver.relax_basis`, as in training.  ``solve_fn`` defaults to
+    the production solver; it is injectable so a deliberately broken
+    solver can be shown to trip the suite.
     """
     solve = solve_fn or solver.solve_update
     rng = np.random.default_rng(seed)
-    worst = 0.0
+    worst = dict.fromkeys(SOLVER_FAMILIES, 0.0)
     branches = {solver.PROJECT_ONLY: 0, solver.PROJECT_AND_REFLECT: 0}
     for i in range(n_instances):
-        dim = int(rng.integers(4, 65))
-        n_mem = int(rng.integers(2, 9))
-        bundle = _random_bundle(rng, dim, n_mem)
-        B = linalg.modified_gram_schmidt(bundle.specific)
+        family = SOLVER_FAMILIES[i % len(SOLVER_FAMILIES)]
+        bundle = _solver_bundle(rng, family, min_mem=2)
+        B = solver.relax_basis(bundle.specific)
         res = solve(bundle.new_grad, bundle.shared, B)
         branches[res.branch] += 1
         w_ref = solver.qp_oracle(bundle.new_grad, bundle.shared, B)
@@ -65,13 +91,13 @@ def suite_solver_vs_oracle(
             1e-12,
         )
         rel = float(np.linalg.norm(res.w - w_ref)) / denom
-        worst = max(worst, rel)
+        worst[family] = max(worst[family], rel)
         if rel > rel_tol:
             return SuiteResult(
                 name="solver_vs_oracle",
                 passed=False,
                 checked=i + 1,
-                detail=f"relative gap {rel:.3e} exceeds {rel_tol:.0e} on instance {i}",
+                detail=f"relative gap {rel:.3e} > {rel_tol:.0e} on {family} instance {i}",
                 failing_case={
                     "instance": i,
                     "g": bundle.new_grad.tolist(),
@@ -81,7 +107,8 @@ def suite_solver_vs_oracle(
                 },
             )
     detail = (
-        f"max relative gap {worst:.3e} over {n_instances} instances "
+        f"max relative gap {worst['random']:.3e} (random), "
+        f"{worst['near_collinear']:.3e} (near-collinear) over {n_instances} instances "
         f"({branches[solver.PROJECT_ONLY]} project, "
         f"{branches[solver.PROJECT_AND_REFLECT]} reflect)"
     )
@@ -229,16 +256,16 @@ def suite_gradient_check(n_models: int = 20, seed: int = 2027) -> SuiteResult:
 def suite_constraint_feasibility(
     n_instances: int = 200, seed: int = 2028, solve_fn: Callable = None
 ) -> SuiteResult:
-    """Every solve must respect both constraint families within tolerance."""
+    """Every solve must respect both constraint families within tolerance,
+    on the instance families of :func:`suite_solver_vs_oracle`."""
     solve = solve_fn or solver.solve_update
     rng = np.random.default_rng(seed)
     worst_eq = 0.0
     worst_ineq = 0.0
     for i in range(n_instances):
-        dim = int(rng.integers(4, 65))
-        n_mem = int(rng.integers(1, 9))
-        bundle = _random_bundle(rng, dim, n_mem)
-        B = linalg.modified_gram_schmidt(bundle.specific)
+        family = SOLVER_FAMILIES[i % len(SOLVER_FAMILIES)]
+        bundle = _solver_bundle(rng, family, min_mem=1)
+        B = solver.relax_basis(bundle.specific)
         res = solve(bundle.new_grad, bundle.shared, B)
         norm_g = float(np.linalg.norm(bundle.new_grad))
         norm_bar = float(np.linalg.norm(bundle.shared))
@@ -254,7 +281,7 @@ def suite_constraint_feasibility(
                 checked=i + 1,
                 detail=(
                     f"|B'w|={eq:.3e} or shared alignment {ineq:.3e} out of "
-                    f"tolerance on instance {i}"
+                    f"tolerance on {family} instance {i}"
                 ),
                 failing_case={
                     "instance": i,
@@ -280,17 +307,9 @@ def _adversarial_columns(rng: np.random.Generator, family: str):
     """One adversarial column collection and the rank it must have
     (``None`` where rounding decides the rank)."""
     if family == "near_collinear":
-        # memories around one common gradient, spread 1e-12..1 and
-        # per-memory scales 1e-3..1e3; the kernel sees the first m - 1
-        # of their zero-sum specific columns, as solver.relax_basis
-        # passes them
-        dim = int(rng.integers(5, 400))
-        n_mem = int(rng.integers(2, 20))
-        spread = 10.0 ** rng.uniform(-12.0, 0.0)
-        scales = 10.0 ** rng.uniform(-3.0, 3.0, size=n_mem)
-        base = rng.standard_normal(dim)
-        old = [base + spread * s * rng.standard_normal(dim) for s in scales]
-        return decompose(rng.standard_normal(dim), old).specific[:, :-1], None
+        # the kernel sees the first m - 1 zero-sum specific columns, as
+        # solver.relax_basis passes them
+        return _near_collinear_bundle(rng).specific[:, :-1], None
     if family == "extreme_scale":
         dim = int(rng.integers(2, 200))
         n_cols = int(rng.integers(1, 12))

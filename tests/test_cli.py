@@ -192,6 +192,16 @@ class TestCmdRun:
         assert summary["n_tasks"] == 2
         assert 0.0 <= summary["acc"] <= 1.0
 
+    def test_bad_csv_cell_exit_3(self, tmp_path, capsys):
+        csv_path = tmp_path / "d.csv"
+        csv_path.write_text("x0,label\n0.5,0\n1.5,inf\n", encoding="utf-8")
+        code = cli.main([
+            "run", f"out_dir={tmp_path / 'out'}", "data.source=csv",
+            f"data.csv_path={csv_path}", "data.label_column=label",
+        ])
+        assert code == 3
+        assert f"{csv_path}: cell 'inf' at row 2, column 2" in capsys.readouterr().err
+
     def test_printed_variant_name_runs(self, tmp_path):
         path = write_config(tmp_path, data={"tasks": 3})
         assert cli.main(["run", str(path), 'variants=["ours+pca2+lgu"]']) == 0

@@ -1,17 +1,12 @@
-"""Replay memories, the coreset, sampling, pooled re-splitting, snapshots."""
-
-import struct
+"""Replay memories, the coreset, sampling, pooled re-splitting."""
 
 import numpy as np
 import pytest
 
 from gradecomp.memory import (
-    SNAPSHOT_MAGIC,
     Coreset,
     EpisodicMemory,
-    load_memory_snapshot,
     sample_memory_batch,
-    save_memory_snapshot,
     split_replay_buffer,
     update_memory,
 )
@@ -139,77 +134,7 @@ class TestCoreset:
         with pytest.raises(ValueError):
             coreset.add(update_memory(batch_of(5), m=3, task_id=2))
 
-    def test_snapshot_round_trip(self, tmp_path):
-        coreset = Coreset()
-        rng = np.random.default_rng(6)
-        for t in range(3):
-            n = int(rng.integers(1, 6))
-            coreset.add(
-                EpisodicMemory(
-                    task_id=t,
-                    capacity=8,
-                    features=rng.standard_normal((n, 4)),
-                    labels=rng.integers(0, 3, size=n),
-                )
-            )
-        path = tmp_path / "memories.bin"
-        save_memory_snapshot(coreset, path)
-        loaded = load_memory_snapshot(path)
-        assert len(loaded) == 3
-        for orig, back in zip(coreset, loaded):
-            assert back.task_id == orig.task_id
-            assert back.capacity == orig.capacity
-            assert np.array_equal(back.features, orig.features)
-            assert np.array_equal(back.labels, orig.labels)
-
-    def test_snapshot_rejects_garbage(self, tmp_path):
-        path = tmp_path / "junk.bin"
-        path.write_bytes(b"\x00" * 16)
-        with pytest.raises(ValueError, match="magic"):
-            load_memory_snapshot(path)
-
-    def test_truncated_snapshot_names_file(self, tmp_path):
-        coreset = Coreset()
-        coreset.add(update_memory(batch_of(5), m=4, task_id=0))
-        path = tmp_path / "memories.bin"
-        save_memory_snapshot(coreset, path)
-        data = path.read_bytes()
-        header = 8 + 8 + 32  # magic, memory count, one memory header
-        # after the magic, inside the memory header, inside the features
-        for cut in (8, 8 + 8 + 12, header + 13):
-            path.write_bytes(data[:cut])
-            with pytest.raises(ValueError, match="truncated") as err:
-                load_memory_snapshot(path)
-            assert str(path) in str(err.value)
-
-    @staticmethod
-    def write_one_memory(path, capacity, n, d=2):
-        body = struct.pack("<qqqq", 0, capacity, n, d)
-        if n > 0:
-            body += np.zeros(n * d).astype("<f8").tobytes()
-            body += np.zeros(n, dtype="<i8").tobytes()
-        path.write_bytes(SNAPSHOT_MAGIC + struct.pack("<q", 1) + body)
-
-    def test_snapshot_capacity_below_item_count_names_file(self, tmp_path):
-        path = tmp_path / "memories.bin"
-        self.write_one_memory(path, capacity=2, n=3)
-        with pytest.raises(ValueError, match="capacity is 2") as err:
-            load_memory_snapshot(path)
-        assert str(path) in str(err.value)
-
-    def test_snapshot_negative_item_count_names_file(self, tmp_path):
-        path = tmp_path / "memories.bin"
-        self.write_one_memory(path, capacity=4, n=-1)
-        with pytest.raises(ValueError, match="-1 items") as err:
-            load_memory_snapshot(path)
-        assert str(path) in str(err.value)
-
-    def test_snapshot_rejects_trailing_bytes(self, tmp_path):
-        coreset = Coreset()
-        coreset.add(update_memory(batch_of(5), m=4, task_id=0))
-        path = tmp_path / "memories.bin"
-        save_memory_snapshot(coreset, path)
-        path.write_bytes(path.read_bytes() + b"\x00" * 3)
-        with pytest.raises(ValueError, match="3 trailing bytes") as err:
-            load_memory_snapshot(path)
-        assert str(path) in str(err.value)
+    def test_items_above_capacity_rejected(self):
+        rows = batch_of(3)
+        with pytest.raises(ValueError, match="capacity is 2"):
+            EpisodicMemory(task_id=0, capacity=2, features=rows.inputs, labels=rows.labels)

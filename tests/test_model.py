@@ -1,16 +1,14 @@
-"""MLP forward/backward, evaluation, updates, and checkpoint round-trip.
+"""MLP forward/backward, evaluation, updates, and parameter layout.
 
 Backprop is checked against central finite differences and the forward
 pass against an independent hand-rolled recomputation; both oracles live
 in this file and share nothing with the implementation.
 """
 
-import struct
-
 import numpy as np
 import pytest
 
-from gradecomp.model import CHECKPOINT_MAGIC, Batch, MlpModel
+from gradecomp.model import Batch, MlpModel
 
 
 def hand_forward(model, X):
@@ -258,6 +256,14 @@ class TestApplyUpdate:
         with pytest.raises(ValueError):
             model.apply_update(np.zeros(3), 0.1)
 
+    @pytest.mark.parametrize("eta", [float("nan"), float("inf"), -float("inf")])
+    def test_non_finite_step_rejected(self, eta):
+        model = MlpModel([2, 3], seed=1)
+        before = model.params.copy()
+        with pytest.raises(ValueError, match="finite"):
+            model.apply_update(np.ones(model.n_params), eta)
+        assert np.array_equal(model.params, before)
+
 
 class TestEvaluate:
     def test_perfect_predictions(self):
@@ -296,78 +302,6 @@ class TestDeterminismAndCheckpoint:
         model = MlpModel([3, 5, 2], seed=9)
         for _, b in model._layers:
             assert np.array_equal(b, np.zeros_like(b))
-
-    def test_checkpoint_round_trip(self, tmp_path):
-        model = MlpModel([3, 6, 2], seed=5)
-        model.params += 0.125  # make it distinct from a fresh init
-        path = tmp_path / "model.ckpt"
-        model.save_checkpoint(path)
-        loaded = MlpModel.load_checkpoint(path)
-        assert loaded.layer_sizes == model.layer_sizes
-        assert loaded.seed == model.seed
-        assert np.array_equal(loaded.params, model.params)
-
-    def test_checkpoint_rejects_garbage(self, tmp_path):
-        path = tmp_path / "junk.ckpt"
-        path.write_bytes(b"not a checkpoint at all")
-        with pytest.raises(ValueError, match="magic"):
-            MlpModel.load_checkpoint(path)
-
-    def test_truncated_checkpoint_names_file(self, tmp_path):
-        path = tmp_path / "model.ckpt"
-        MlpModel([3, 6, 2], seed=5).save_checkpoint(path)
-        data = path.read_bytes()
-        header = 8 + 8 * 5  # magic, size count, three sizes, seed
-        # after the magic, inside the header, inside the payload
-        for cut in (8, 8 + 12, header + (len(data) - header) // 2 + 3):
-            path.write_bytes(data[:cut])
-            with pytest.raises(ValueError, match="truncated") as err:
-                MlpModel.load_checkpoint(path)
-            assert str(path) in str(err.value)
-
-    @staticmethod
-    def write_header(path, sizes, n_sizes=None):
-        n_sizes = len(sizes) if n_sizes is None else n_sizes
-        fields = [n_sizes, *sizes, 0, 0]  # count, sizes, seed, layout flag
-        path.write_bytes(CHECKPOINT_MAGIC + struct.pack(f"<{len(fields)}q", *fields))
-
-    @pytest.mark.parametrize(
-        "sizes, message",
-        [([4], "1 layer sizes"), ([], "0 layer sizes"), ([3, 0, 2], "must be positive"),
-         ([3, -5], "must be positive")],
-    )
-    def test_malformed_layer_sizes_name_file(self, tmp_path, sizes, message):
-        path = tmp_path / "model.ckpt"
-        self.write_header(path, sizes)
-        with pytest.raises(ValueError, match=message) as err:
-            MlpModel.load_checkpoint(path)
-        assert str(path) in str(err.value)
-
-    def test_declared_payload_checked_before_allocation(self, tmp_path):
-        # 2^31 x 2^31 weights would be 32 EiB; the file holds no payload
-        path = tmp_path / "model.ckpt"
-        self.write_header(path, [2**31, 2**31])
-        with pytest.raises(ValueError, match="truncated") as err:
-            MlpModel.load_checkpoint(path)
-        assert str(path) in str(err.value)
-
-    def test_checkpoint_keeps_per_tensor_layout(self, tmp_path):
-        for per_tensor in (False, True):
-            model = MlpModel([3, 4, 2], seed=1, per_tensor_layout=per_tensor)
-            path = tmp_path / f"model_{per_tensor}.ckpt"
-            model.save_checkpoint(path)
-            loaded = MlpModel.load_checkpoint(path)
-            assert loaded.per_tensor_layout is per_tensor
-            assert loaded.layout == model.layout
-            assert np.array_equal(loaded.params, model.params)
-
-    def test_checkpoint_rejects_trailing_bytes(self, tmp_path):
-        path = tmp_path / "model.ckpt"
-        MlpModel([3, 6, 2], seed=5).save_checkpoint(path)
-        path.write_bytes(path.read_bytes() + b"junk")
-        with pytest.raises(ValueError, match="4 trailing bytes") as err:
-            MlpModel.load_checkpoint(path)
-        assert str(path) in str(err.value)
 
     def test_per_tensor_layout_segments(self):
         fused = MlpModel([3, 4, 2], seed=1)

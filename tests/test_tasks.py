@@ -188,6 +188,24 @@ class TestLoadCsvDataset:
         with pytest.raises(ValueError, match="row 1, column 2"):
             load_csv_dataset(path, "y")
 
+    def test_non_finite_feature_reports_position(self, tmp_path):
+        path = self.write(tmp_path, "f1,f2,y\n1.0,2.0,0\n3.0,nan,1\n")
+        with pytest.raises(ValueError, match="row 2, column 2 is not a finite") as err:
+            load_csv_dataset(path, "y")
+        assert str(path) in str(err.value)
+
+    @pytest.mark.parametrize("label", ["1.5", "inf", "1e300"])
+    def test_non_integer_label_reports_position(self, tmp_path, label):
+        path = self.write(tmp_path, f"f1,f2,y\n1.0,2.0,0\n3.0,4.0,{label}\n")
+        with pytest.raises(ValueError, match="row 2, column 3 is not an int64 integer") as err:
+            load_csv_dataset(path, "y")
+        assert str(path) in str(err.value)
+
+    def test_integral_float_label_accepted(self, tmp_path):
+        path = self.write(tmp_path, "f1,f2,y\n1.0,2.0,0.0\n3.0,4.0,1.0\n")
+        train, _ = load_csv_dataset(path, "y")
+        assert train.labels.tolist() == [0, 1]
+
     def test_unknown_label_column(self, tmp_path):
         path = self.write(tmp_path, "f1,f2,y\n1.0,2.0,0\n")
         with pytest.raises(ValueError, match="unknown label column"):
