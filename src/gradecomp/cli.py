@@ -10,7 +10,10 @@ Verbs:
 
 The config is one optional JSON file; any key can be overridden on the
 command line as ``key.path=value`` (values are parsed as JSON, falling
-back to plain strings).  Overrides always win.  Key tree with defaults:
+back to plain strings).  Overrides always win.  The ``model`` and
+``train`` defaults are those of ``trainer.TrainConfig``.
+
+Key tree with defaults:
 
     seed: 0                 run seed; data and training derive from it
     seeds: null             optional seed list used by sweep-k
@@ -18,24 +21,21 @@ back to plain strings).  Overrides always win.  Key tree with defaults:
     data:
       source: "synthetic"   or "csv"
       scenario: "permuted_features" | "split_classes" | "data_incremental"
-      classes: 3            synthetic only
-      dim: 32               synthetic only
-      n_per_class: 100      synthetic only
-      tasks: 5
+      classes: 3            synthetic only; at least 2
+      dim: 32               synthetic only; at least 2
+      n_per_class: 100      synthetic only; at least 2
+      tasks: 5              synthetic split_classes: must divide classes
       csv_path: null        csv only
       label_column: null    csv only (name or zero-based index)
     model:
       hidden_sizes: [100, 100]
-      per_tensor_layout: false
     train:
       eta: 0.1
-      epochs: 1
       bs_new: 10
       bs_old: 20
       memory_size: 256
       memory_policy: "ring" | "reservoir"
       replay_split_n: null  pool memories and re-split into n parts
-      multi_head: null      null = infer from scenario
     variants: ["a", "b", "d", "f"]
     pca_k: 2                k of a principal-direction variant named without one
     sweep:
@@ -74,10 +74,15 @@ from pathlib import Path
 
 import numpy as np
 
-from . import __version__, metrics, tasks, trainer, verify
+from . import __version__, memory, metrics, tasks, trainer, verify
 
 DATA_SEED_OFFSET = 0
 STREAM_SEED_OFFSET = 1
+
+_TRAIN_DEFAULTS = trainer.TrainConfig()
+# TrainConfig fields the config sets elsewhere: the run seed, the method
+# from ``variants`` and the widths under ``model``
+_NOT_TRAIN_KEYS = ("seed", "variant", "hidden_sizes")
 
 DEFAULT_CONFIG = {
     "seed": 0,
@@ -94,18 +99,12 @@ DEFAULT_CONFIG = {
         "label_column": None,
     },
     "model": {
-        "hidden_sizes": [100, 100],
-        "per_tensor_layout": False,
+        "hidden_sizes": list(_TRAIN_DEFAULTS.hidden_sizes),
     },
     "train": {
-        "eta": 0.1,
-        "epochs": 1,
-        "bs_new": 10,
-        "bs_old": 20,
-        "memory_size": 256,
-        "memory_policy": "ring",
-        "replay_split_n": None,
-        "multi_head": None,
+        f.name: getattr(_TRAIN_DEFAULTS, f.name)
+        for f in dataclasses.fields(trainer.TrainConfig)
+        if f.name not in _NOT_TRAIN_KEYS
     },
     "variants": ["a", "b", "d", "f"],
     "pca_k": 2,
@@ -212,6 +211,15 @@ def _validate(config: dict) -> None:
     for key in ("classes", "dim", "n_per_class", "tasks"):
         _expect(_is_int(data[key]) and data[key] >= 1, f"data.{key}",
                 "must be a positive integer")
+    if data["source"] == "synthetic":
+        # the generator draws at least two clusters in two or more
+        # dimensions and splits every class into train and test rows
+        for key in ("classes", "dim", "n_per_class"):
+            _expect(data[key] >= 2, f"data.{key}", "must be at least 2 for synthetic data")
+        if data["scenario"] == tasks.SCENARIO_SPLIT:
+            _expect(data["classes"] % data["tasks"] == 0, "data.tasks",
+                    f"must divide data.classes ({data['classes']}) "
+                    f"for {tasks.SCENARIO_SPLIT!r}")
     if data["source"] == "csv":
         _expect(isinstance(data["csv_path"], str), "data.csv_path",
                 "required when data.source is 'csv'")
@@ -229,8 +237,6 @@ def _validate(config: dict) -> None:
         "model.hidden_sizes",
         "must be a list of positive integers",
     )
-    _expect(isinstance(model["per_tensor_layout"], bool), "model.per_tensor_layout",
-            "must be a boolean")
     train = config["train"]
     eta = train["eta"]
     # the upper bound rejects infinities and integers too large for a float;
@@ -240,17 +246,14 @@ def _validate(config: dict) -> None:
         "train.eta",
         "must be a positive finite number",
     )
-    for key in ("epochs", "bs_new", "bs_old", "memory_size"):
+    for key in ("bs_new", "bs_old", "memory_size"):
         _expect(_is_int(train[key]) and train[key] >= 1, f"train.{key}",
                 "must be a positive integer")
-    _expect(train["memory_policy"] in ("ring", "reservoir"), "train.memory_policy",
-            "must be 'ring' or 'reservoir'")
+    _expect(train["memory_policy"] in memory.POLICIES, "train.memory_policy",
+            f"must be one of {memory.POLICIES}")
     if train["replay_split_n"] is not None:
         _expect(_is_int(train["replay_split_n"]) and train["replay_split_n"] >= 1,
                 "train.replay_split_n", "must be a positive integer or null")
-    if train["multi_head"] is not None:
-        _expect(isinstance(train["multi_head"], bool), "train.multi_head",
-                "must be a boolean or null")
     _expect(_is_int(config["pca_k"]) and config["pca_k"] >= 1, "pca_k",
             "must be a positive integer")
     variants = config["variants"]
@@ -295,21 +298,11 @@ def build_stream(data_cfg: dict, seed: int) -> tasks.TaskStream:
 
 
 def build_train_config(config: dict, variant: trainer.MethodVariant, seed: int):
-    train = config["train"]
-    model = config["model"]
     return trainer.TrainConfig(
-        eta=float(train["eta"]),
-        epochs=train["epochs"],
-        bs_new=train["bs_new"],
-        bs_old=train["bs_old"],
-        memory_size=train["memory_size"],
-        hidden_sizes=tuple(model["hidden_sizes"]),
+        **config["train"],
+        hidden_sizes=tuple(config["model"]["hidden_sizes"]),
         seed=seed,
         variant=variant,
-        memory_policy=train["memory_policy"],
-        replay_split_n=train["replay_split_n"],
-        multi_head=train["multi_head"],
-        per_tensor_layout=model["per_tensor_layout"],
     )
 
 

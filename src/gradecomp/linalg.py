@@ -117,6 +117,13 @@ def modified_gram_schmidt(X, rel_tol: float = DEFAULT_RANK_TOL) -> np.ndarray:
     kept = kept[:k]
     C = np.eye(r, k) if kept[-1] == k - 1 else np.linalg.qr(R[:, kept])[0]
 
+    # the basis comes from the reflectors by hand rather than from numpy's
+    # reduced QR (LAPACK orgqr), which forms all r columns of Q first.
+    # Under this same drop rule, on 18 columns with 1 BLAS thread (Xeon),
+    # orgqr was 36-44% slower at 10,100 and 13,703 rows (the widest layer
+    # and the whole 32-100-100-3 vector) and 19-25% slower at 2,000-5,000
+    # rows; it won only on short inputs (about 30% at 303 rows, where
+    # either takes about 0.1 ms).
     # V is unit lower trapezoidal; a reflector with tau = 0 is the
     # identity and gets a zero column
     V = F[:, :r]

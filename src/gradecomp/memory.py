@@ -1,10 +1,14 @@
-"""Per-task replay memories, the growing coreset, batch sampling, and
-pooled re-splitting for boundary-free training.
+"""Per-task replay memories, batch sampling, and pooled re-splitting for
+boundary-free training.
+
+The trainer keeps its memories as a plain ``list[EpisodicMemory]``, one
+per finished task in ascending task order; ``train_step`` and
+``split_replay_buffer`` take that list as is.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -18,45 +22,15 @@ POLICIES = (POLICY_RING, POLICY_RESERVOIR)
 @dataclass
 class EpisodicMemory:
     task_id: int
-    capacity: int
     features: np.ndarray
     labels: np.ndarray
 
     def __post_init__(self):
         self.features = np.asarray(self.features, dtype=np.float64)
         self.labels = np.asarray(self.labels, dtype=np.int64)
-        if len(self.labels) > self.capacity:
-            raise ValueError(
-                f"memory holds {len(self.labels)} items, capacity is {self.capacity}"
-            )
 
     def __len__(self) -> int:
         return int(self.labels.shape[0])
-
-
-@dataclass
-class Coreset:
-    """Episodic memories in strictly increasing task order."""
-
-    memories: list[EpisodicMemory] = field(default_factory=list)
-
-    def add(self, memory: EpisodicMemory) -> None:
-        if self.memories and memory.task_id <= self.memories[-1].task_id:
-            raise ValueError(
-                f"task id {memory.task_id} does not exceed the last stored "
-                f"id {self.memories[-1].task_id}"
-            )
-        self.memories.append(memory)
-
-    def __len__(self) -> int:
-        return len(self.memories)
-
-    def __iter__(self):
-        return iter(self.memories)
-
-    @property
-    def total_items(self) -> int:
-        return sum(len(m) for m in self.memories)
 
 
 def update_memory(
@@ -73,7 +47,7 @@ def update_memory(
     one-pass replacement algorithm from the given seed.  A ring memory,
     and a reservoir memory whose task has ``n <= m`` examples (it keeps
     them all), holds read-only views of the task's rows rather than a
-    copy, so the coreset adds no second copy of data the stream already
+    copy, so the memories add no second copy of data the stream already
     holds; a reservoir sample of ``m < n`` rows is a copy, also
     read-only.
     """
@@ -97,7 +71,7 @@ def update_memory(
         keep = np.asarray(reservoir)
     features, labels = task_data.inputs[keep], task_data.labels[keep]
     features.flags.writeable = labels.flags.writeable = False
-    return EpisodicMemory(task_id=task_id, capacity=m, features=features, labels=labels)
+    return EpisodicMemory(task_id=task_id, features=features, labels=labels)
 
 
 def sample_memory_batch(
@@ -113,7 +87,7 @@ def sample_memory_batch(
 
 
 def split_replay_buffer(
-    coreset: Coreset, N: int, rng: np.random.Generator
+    memories: list[EpisodicMemory], N: int, rng: np.random.Generator
 ) -> list[EpisodicMemory]:
     """Pool every stored example and deal it into ``N`` pseudo-memories.
 
@@ -123,11 +97,11 @@ def split_replay_buffer(
     """
     if N < 1:
         raise ValueError("need at least one part")
-    total = coreset.total_items
+    total = sum(len(m) for m in memories)
     if total < N:
         raise ValueError(f"cannot split {total} items into {N} parts")
-    features = np.concatenate([m.features for m in coreset.memories])
-    labels = np.concatenate([m.labels for m in coreset.memories])
+    features = np.concatenate([m.features for m in memories])
+    labels = np.concatenate([m.labels for m in memories])
     order = rng.permutation(total)
     sizes = [total // N + (1 if i < total % N else 0) for i in range(N)]
     parts = []
@@ -135,12 +109,5 @@ def split_replay_buffer(
     for i, size in enumerate(sizes):
         idx = order[offset: offset + size]
         offset += size
-        parts.append(
-            EpisodicMemory(
-                task_id=i,
-                capacity=size,
-                features=features[idx],
-                labels=labels[idx],
-            )
-        )
+        parts.append(EpisodicMemory(i, features[idx], labels[idx]))
     return parts

@@ -8,7 +8,9 @@ layers use ReLU (subgradient 0 at 0), the output layer is linear, and
 the loss is mean softmax cross-entropy.  One backprop serves both the
 new-task gradient (one batch, one ``(n,)`` vector) and the replay
 memories (m stacked equal-sized batches, one ``(m, n)`` matrix whose
-row ``k`` is the gradient of batch ``k``'s own mean loss).
+row ``k`` is the gradient of batch ``k``'s own mean loss).  The
+layout the per-layer solver reads has one segment per layer, the
+layer's weights and then its bias, in the order they sit in the vector.
 """
 
 from __future__ import annotations
@@ -42,40 +44,27 @@ class Batch:
         return int(self.inputs.shape[0])
 
 
-def _build_layout(layer_sizes: list[int], per_tensor: bool) -> ParamLayout:
-    named = []
-    for i, (fan_in, fan_out) in enumerate(zip(layer_sizes[:-1], layer_sizes[1:])):
-        if per_tensor:
-            named.append((f"layer{i}.weight", fan_in * fan_out))
-            named.append((f"layer{i}.bias", fan_out))
-        else:
-            named.append((f"layer{i}", fan_in * fan_out + fan_out))
-    return ParamLayout.from_lengths(named)
-
-
 class MlpModel:
     """ReLU MLP over a flat parameter vector.
 
     ``layer_sizes`` lists input width, hidden widths, and output width.
     Weights are initialized uniform in ``+-sqrt(6 / (fan_in + fan_out))``
-    from the given seed; biases start at zero.  ``per_tensor_layout``
-    splits each layer's weight and bias into separate layout segments
-    instead of the default fused one-segment-per-layer.
+    from the given seed; biases start at zero.  The layout has one
+    segment per layer, ``layer{i}``: its weight matrix followed by its
+    bias.
     """
 
-    def __init__(
-        self,
-        layer_sizes: list[int],
-        seed: int = 0,
-        per_tensor_layout: bool = False,
-    ):
+    def __init__(self, layer_sizes: list[int], seed: int = 0):
         if len(layer_sizes) < 2:
             raise ValueError("need at least an input and an output size")
         if any(s < 1 for s in layer_sizes):
             raise ValueError("layer sizes must be positive")
         self.layer_sizes = [int(s) for s in layer_sizes]
         self.seed = int(seed)
-        self.layout = _build_layout(self.layer_sizes, per_tensor_layout)
+        fans = enumerate(zip(self.layer_sizes[:-1], self.layer_sizes[1:]))
+        self.layout = ParamLayout.from_lengths(
+            [(f"layer{i}", fan_in * fan_out + fan_out) for i, (fan_in, fan_out) in fans]
+        )
         self.params = np.zeros(self.layout.total)
         self._bind_views()
 

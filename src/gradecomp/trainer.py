@@ -12,6 +12,12 @@ the mean loss over the stacked batch is that mean, and no per-memory
 rows are formed.  With no stored memories every method degenerates to
 plain SGD.
 
+``train_sequence`` makes one pass over each task's training data, then
+stores one episodic memory for the task in a plain list, in task order;
+that list (or, with ``replay_split_n``, its pooled re-split) is what
+every step of the next task replays.  The model has one layout segment
+per layer, and evaluation is task-aware exactly for split-class streams.
+
 All randomness is drawn from generators seeded as ``run_seed + offset``
 with one fixed offset per role, so enabling one feature never perturbs
 the random streams of another:
@@ -157,7 +163,6 @@ def variant_from_name(name: str, k: int | None = None) -> MethodVariant:
 @dataclass(frozen=True)
 class TrainConfig:
     eta: float = 0.1
-    epochs: int = 1
     bs_new: int = 10
     bs_old: int = 20
     memory_size: int = 256
@@ -166,8 +171,6 @@ class TrainConfig:
     variant: MethodVariant = field(default_factory=variant_single)
     memory_policy: str = mem.POLICY_RING
     replay_split_n: int | None = None
-    multi_head: bool | None = None
-    per_tensor_layout: bool = False
 
     def __post_init__(self):
         if not (math.isfinite(self.eta) and self.eta > 0.0):
@@ -176,8 +179,6 @@ class TrainConfig:
             raise ValueError(
                 f"memory_policy must be one of {mem.POLICIES}, got {self.memory_policy!r}"
             )
-        if self.epochs < 1:
-            raise ValueError("epochs must be at least 1")
         if min(self.bs_new, self.bs_old, self.memory_size) < 1:
             raise ValueError("batch sizes and memory size must be positive")
         if self.replay_split_n is not None and self.replay_split_n < 1:
@@ -328,60 +329,51 @@ def _minibatches(batch: Batch, bs: int):
 def train_sequence(
     stream: TaskStream, cfg: TrainConfig
 ) -> tuple[np.ndarray, list[StepTrace]]:
-    """Run the full task sequence and fill the accuracy matrix.
+    """Run the full task sequence, one pass over each task's training
+    data, and fill the accuracy matrix.
 
     Row ``t`` holds the accuracy on every test set seen so far after
     finishing task ``t``.  Evaluation restricts the argmax to each
-    task's classes for split-class streams (unless ``multi_head``
-    overrides it).
+    task's classes exactly when the stream splits the classes.
     """
     T = len(stream)
     if T == 0:
         raise ValueError("stream has no tasks")
-    multi_head = (
-        cfg.multi_head
-        if cfg.multi_head is not None
-        else stream.scenario == SCENARIO_SPLIT
-    )
+    task_aware = stream.scenario == SCENARIO_SPLIT
     model = MlpModel(
         [stream.input_dim, *cfg.hidden_sizes, stream.n_classes],
         seed=cfg.seed + SEED_MODEL_INIT,
-        per_tensor_layout=cfg.per_tensor_layout,
     )
     mem_rng = np.random.default_rng(cfg.seed + SEED_MEMORY_SAMPLING)
     sgem_rng = np.random.default_rng(cfg.seed + SEED_SGEM_CHOICE)
     split_rng = np.random.default_rng(cfg.seed + SEED_REPLAY_SPLIT)
 
-    coreset = mem.Coreset()
+    stored: list[mem.EpisodicMemory] = []
     R = np.full((T, T), np.nan)
     log: list[StepTrace] = []
 
     for t, task in enumerate(stream.tasks):
-        if cfg.replay_split_n is not None and len(coreset) > 0:
-            n_parts = min(cfg.replay_split_n, coreset.total_items)
-            memories = mem.split_replay_buffer(coreset, n_parts, split_rng)
-        else:
-            memories = list(coreset)
+        memories = stored
+        if cfg.replay_split_n is not None and stored:
+            n_parts = min(cfg.replay_split_n, sum(len(m) for m in stored))
+            memories = mem.split_replay_buffer(stored, n_parts, split_rng)
 
-        iteration = 0
-        for _ in range(cfg.epochs):
-            for batch in _minibatches(task.train, cfg.bs_new):
-                trace = train_step(
-                    model,
-                    batch,
-                    memories,
-                    cfg.variant,
-                    cfg.eta,
-                    mem_rng,
-                    sgem_rng,
-                    bs_old=cfg.bs_old,
-                )
-                trace.task = t
-                trace.iteration = iteration
-                iteration += 1
-                log.append(trace)
+        for iteration, batch in enumerate(_minibatches(task.train, cfg.bs_new)):
+            trace = train_step(
+                model,
+                batch,
+                memories,
+                cfg.variant,
+                cfg.eta,
+                mem_rng,
+                sgem_rng,
+                bs_old=cfg.bs_old,
+            )
+            trace.task = t
+            trace.iteration = iteration
+            log.append(trace)
 
-        coreset.add(
+        stored.append(
             mem.update_memory(
                 task.train,
                 cfg.memory_size,
@@ -391,7 +383,7 @@ def train_sequence(
             )
         )
         for i in range(t + 1):
-            subset = stream.tasks[i].class_subset if multi_head else None
+            subset = stream.tasks[i].class_subset if task_aware else None
             R[t, i] = model.evaluate(stream.tasks[i].test, subset)
 
     return R, log

@@ -5,7 +5,7 @@ import json
 import numpy as np
 import pytest
 
-from gradecomp import cli, verify
+from gradecomp import cli, trainer, verify
 from gradecomp.metrics import acc, bwt
 
 
@@ -35,6 +35,40 @@ class TestConfigHandling:
         assert config["train"]["bs_new"] == 10
         assert config["train"]["bs_old"] == 20
         assert config["train"]["memory_size"] == 256
+
+    def test_defaults_are_train_config_defaults(self):
+        config = cli.load_config(None, [])
+        built = cli.build_train_config(config, trainer.variant_single(), seed=0)
+        assert built == trainer.TrainConfig()
+
+    def test_key_tree_names_exactly_the_default_keys(self):
+        tree = cli.__doc__.split("Key tree with defaults:\n\n", 1)[1].split("\n\n", 1)[0]
+        documented = set()
+        for line in tree.splitlines():
+            key = line.split(":", 1)[0].strip()
+            if len(line) - len(line.lstrip()) == 4:
+                section = key
+                documented.add(key)
+            else:
+                documented.add(f"{section}.{key}")
+
+        def paths(config, prefix=""):
+            for key, value in config.items():
+                yield prefix + key
+                if isinstance(value, dict):
+                    yield from paths(value, prefix + key + ".")
+
+        assert documented == set(paths(cli.DEFAULT_CONFIG))
+
+    @pytest.mark.parametrize(
+        "section, key",
+        [("model", "per_tensor_layout"), ("train", "epochs"), ("train", "multi_head")],
+    )
+    def test_removed_key_exit_2(self, tmp_path, capsys, section, key):
+        path = write_config(tmp_path, **{section: {key: 1}})
+        assert cli.main(["run", str(path)]) == 2
+        assert f"config key '{section}.{key}': unknown key" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
 
     def test_unknown_key_is_named(self, tmp_path):
         path = tmp_path / "bad.json"
@@ -95,6 +129,22 @@ class TestConfigHandling:
         code = cli.main(["run", f"out_dir={tmp_path / 'out'}", f"train.eta={eta}"])
         assert code == 2
         assert "config key 'train.eta'" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize(
+        "overrides, key",
+        [
+            (["data.classes=1"], "data.classes"),
+            (["data.dim=1"], "data.dim"),
+            (["data.n_per_class=1"], "data.n_per_class"),
+            (["data.scenario=split_classes", "data.classes=3", "data.tasks=2"], "data.tasks"),
+            (["train.memory_policy=fifo"], "train.memory_policy"),
+        ],
+    )
+    def test_unusable_data_or_policy_exit_2(self, tmp_path, capsys, overrides, key):
+        code = cli.main(["run", f"out_dir={tmp_path / 'out'}", *overrides])
+        assert code == 2
+        assert f"config key {key!r}" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
     def test_unknown_variant_name_exit_2(self, tmp_path, capsys):

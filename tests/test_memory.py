@@ -1,10 +1,9 @@
-"""Replay memories, the coreset, sampling, pooled re-splitting."""
+"""Replay memories, sampling, pooled re-splitting."""
 
 import numpy as np
 import pytest
 
 from gradecomp.memory import (
-    Coreset,
     EpisodicMemory,
     sample_memory_batch,
     split_replay_buffer,
@@ -84,24 +83,18 @@ class TestSampleMemoryBatch:
 
 
 class TestSplitReplayBuffer:
-    def build_coreset(self, sizes):
-        coreset = Coreset()
+    def build_memories(self, sizes):
+        memories = []
         start = 0
         for t, n in enumerate(sizes):
-            coreset.add(
-                EpisodicMemory(
-                    task_id=t,
-                    capacity=max(n, 1),
-                    features=batch_of(n, start=start).inputs,
-                    labels=batch_of(n, start=start).labels,
-                )
-            )
+            rows = batch_of(n, start=start)
+            memories.append(EpisodicMemory(t, rows.inputs, rows.labels))
             start += n
-        return coreset
+        return memories
 
     def test_even_partition(self):
-        coreset = self.build_coreset([3, 3])
-        parts = split_replay_buffer(coreset, 3, np.random.default_rng(2))
+        memories = self.build_memories([3, 3])
+        parts = split_replay_buffer(memories, 3, np.random.default_rng(2))
         assert [len(p) for p in parts] == [2, 2, 2]
         pooled = sorted(
             float(x) for p in parts for x in p.features[:, 0]
@@ -109,32 +102,17 @@ class TestSplitReplayBuffer:
         assert pooled == [0.0, 1.0, 2.0, 3.0, 4.0, 5.0]
 
     def test_single_part_is_whole_pool(self):
-        coreset = self.build_coreset([2, 3])
-        (part,) = split_replay_buffer(coreset, 1, np.random.default_rng(3))
+        memories = self.build_memories([2, 3])
+        (part,) = split_replay_buffer(memories, 1, np.random.default_rng(3))
         assert len(part) == 5
 
     def test_remainder_goes_to_leading_parts(self):
-        coreset = self.build_coreset([4, 3])
-        parts = split_replay_buffer(coreset, 3, np.random.default_rng(4))
+        memories = self.build_memories([4, 3])
+        parts = split_replay_buffer(memories, 3, np.random.default_rng(4))
         assert [len(p) for p in parts] == [3, 2, 2]
 
     def test_too_many_parts_rejected(self):
-        coreset = self.build_coreset([2])
+        memories = self.build_memories([2])
         with pytest.raises(ValueError):
-            split_replay_buffer(coreset, 3, np.random.default_rng(5))
+            split_replay_buffer(memories, 3, np.random.default_rng(5))
 
-
-class TestCoreset:
-    def test_growth_and_ordering(self):
-        coreset = Coreset()
-        for t in range(4):
-            coreset.add(update_memory(batch_of(5), m=3, task_id=t))
-            assert len(coreset) == t + 1
-            assert all(len(m) <= 3 for m in coreset)
-        with pytest.raises(ValueError):
-            coreset.add(update_memory(batch_of(5), m=3, task_id=2))
-
-    def test_items_above_capacity_rejected(self):
-        rows = batch_of(3)
-        with pytest.raises(ValueError, match="capacity is 2"):
-            EpisodicMemory(task_id=0, capacity=2, features=rows.inputs, labels=rows.labels)

@@ -302,10 +302,3 @@ class TestDeterminismAndCheckpoint:
         model = MlpModel([3, 5, 2], seed=9)
         for _, b in model._layers:
             assert np.array_equal(b, np.zeros_like(b))
-
-    def test_per_tensor_layout_segments(self):
-        fused = MlpModel([3, 4, 2], seed=1)
-        split = MlpModel([3, 4, 2], seed=1, per_tensor_layout=True)
-        assert len(fused.layout.segments) == 2
-        assert len(split.layout.segments) == 4
-        assert np.array_equal(fused.params, split.params)
