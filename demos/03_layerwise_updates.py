@@ -48,12 +48,14 @@ for name, res in result.per_layer:
 solves = {"whole-vector": decomposed_update(bundle), "per-layer": result}
 for label, res in solves.items():
     report = predicted_loss_change(bundle, res)
-    contributing = sum(e.contributes for e in report.per_layer)
+    # a whole-vector solve is one segment; non-negative alignments contribute
+    segments = res.per_layer or (("all", res),)
+    contributing = sum(r.shared_alignment >= 0.0 for _, r in segments)
     print(f"\n{label} prediction: {report.predicted_delta:+.5f} per unit step "
-          f"({contributing}/{len(report.per_layer)} segments contribute)")
-    for entry in report.per_layer:
-        flag = "+" if entry.contributes else " "
-        print(f"  [{flag}] {entry.name:>8}: alignment {entry.alignment:+.5f}")
+          f"({contributing}/{len(segments)} segments contribute)")
+    for name, r in segments:
+        flag = "+" if r.shared_alignment >= 0.0 else " "
+        print(f"  [{flag}] {name:>8}: alignment {r.shared_alignment:+.5f}")
 
 print("\nMultiply by the learning rate to predict the replay-loss change of")
 print("the next step; the trainer logs these alignments every iteration.")

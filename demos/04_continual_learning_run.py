@@ -10,10 +10,13 @@ with a principal-direction sweep showing the retention/plasticity trade.
 Takes roughly half a minute.
 """
 
+import time
+from dataclasses import replace
+
 import numpy as np
 
 from gradecomp import gen_permuted_tasks, gen_synthetic_base, metrics
-from gradecomp.trainer import TrainConfig, run_ablation, train_sequence, variant_from_name
+from gradecomp.trainer import TrainConfig, train_sequence, variant_from_name
 
 SEED = 11
 base = gen_synthetic_base(classes=3, dim=8, n_per_class=60, seed=SEED)
@@ -23,11 +26,14 @@ cfg = TrainConfig(seed=SEED, hidden_sizes=(12,), memory_size=64)
 print(f"stream: {len(stream)} permuted-feature tasks, "
       f"{len(stream.tasks[0].train)} train rows each\n")
 
-variants = [variant_from_name(letter, k=2) for letter in "abcdefg"]
-rows = run_ablation(stream, cfg, variants)
 print(f"{'variant':>16} {'ACC':>8} {'BWT':>8} {'seconds':>8}")
-for row in rows:
-    print(f"{row.name:>16} {row.acc:>8.4f} {row.bwt:>+8.4f} {row.seconds:>8.2f}")
+for letter in "abcdefg":
+    variant = variant_from_name(letter, k=2)
+    start = time.perf_counter()
+    R, _ = train_sequence(stream, replace(cfg, variant=variant))
+    seconds = time.perf_counter() - start
+    print(f"{variant.name:>16} {metrics.acc(R):>8.4f} {metrics.bwt(R):>+8.4f} "
+          f"{seconds:>8.2f}")
 
 print("\nprincipal-direction sweep (decomposed method, concatenated):")
 for k in (1, 2, 4, 6):

@@ -3,8 +3,7 @@
 Verbs:
 
 * ``run``      -- train every configured variant, write matrices and logs
-* ``sweep-k``  -- repeat a principal-direction variant over a list of k
-                  (``--k`` overrides ``sweep.k_values``)
+* ``sweep-k``  -- repeat a principal-direction variant over ``sweep.k_values``
 * ``verify``   -- run the property suites and report pass/fail
 * ``report``   -- re-render summary tables from stored matrices
 
@@ -24,7 +23,7 @@ Key tree with defaults:
       classes: 3            synthetic only; at least 2
       dim: 32               synthetic only; at least 2
       n_per_class: 100      synthetic only; at least 2
-      tasks: 5              synthetic split_classes: must divide classes
+      tasks: 5              synthetic: divides classes (split), <= train rows (shards)
       csv_path: null        csv only
       label_column: null    csv only (name or zero-based index)
     model:
@@ -220,6 +219,11 @@ def _validate(config: dict) -> None:
             _expect(data["classes"] % data["tasks"] == 0, "data.tasks",
                     f"must divide data.classes ({data['classes']}) "
                     f"for {tasks.SCENARIO_SPLIT!r}")
+        if data["scenario"] == tasks.SCENARIO_DATA_INCREMENTAL:
+            n_train = data["classes"] * tasks.train_rows_per_class(data["n_per_class"])
+            _expect(data["tasks"] <= n_train, "data.tasks",
+                    f"must not exceed the {n_train} training rows to shard "
+                    f"for {tasks.SCENARIO_DATA_INCREMENTAL!r}")
     if data["source"] == "csv":
         _expect(isinstance(data["csv_path"], str), "data.csv_path",
                 "required when data.source is 'csv'")
@@ -434,9 +438,7 @@ def cmd_sweep_k(args) -> int:
     config = _load_args_config(args)
     sweep = config["sweep"]
     variant_name = sweep["variant"].lower()
-    if args.k is not None and not all(k >= 1 for k in args.k):
-        raise ConfigError("--k", f"must be positive integers, got {args.k}")
-    k_values = args.k or sweep["k_values"]
+    k_values = sweep["k_values"]
     if any(trainer.variant_from_name(variant_name, k).pca_k != k for k in k_values):
         raise ConfigError(
             "sweep.variant",
@@ -550,8 +552,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_sweep = sub.add_parser("sweep-k", help="sweep the principal-direction count")
     p_sweep.add_argument("config", nargs="?", default=None)
     p_sweep.add_argument("overrides", nargs="*", default=[])
-    p_sweep.add_argument("--k", type=int, nargs="+", default=None,
-                         help="k values (default: sweep.k_values)")
     p_sweep.set_defaults(func=cmd_sweep_k)
 
     p_verify = sub.add_parser("verify", help="run the property suites")

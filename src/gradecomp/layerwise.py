@@ -8,6 +8,11 @@ magnitudes.  Every rule in per-layer mode goes through it.  A segment's
 bundle holds slices of the new-task gradient, the shared gradient and
 the ``(m, n)`` memory matrix; its specific matrix is derived from those
 when a rule reads it.
+
+Each segment's result, with its alignment to the shared gradient, is
+kept in ``UpdateResult.per_layer``; that is the one place callers read
+per-layer alignments from, and :func:`predicted_loss_change` reduces
+them to the first-order replay-loss change.
 """
 
 from __future__ import annotations
@@ -67,27 +72,20 @@ class ParamLayout:
         return [slice(s.offset, s.offset + s.length) for s in self.segments]
 
 
-class LayerAlignment(NamedTuple):
-    name: str
-    alignment: float
-    contributes: bool
-
-
 @dataclass
 class LossChangeReport:
     """First-order prediction of the replay-loss change per unit step size.
 
     ``predicted_delta`` is the loss change divided by the learning rate:
     multiply by eta to get the predicted change after stepping by
-    ``-eta * w``.  There is one entry per solved segment (a single
-    ``"all"`` entry for a whole-vector solve) holding that segment's own
-    alignment under its own projection; only non-negative entries
-    contribute.  ``realized_delta`` is ``-shared' w`` for the update
-    actually returned, which coincides with ``predicted_delta`` when the
-    basis was not relaxed.
+    ``-eta * w``.  It sums the negated non-negative alignments of the
+    solved segments, each under its own projection, read from
+    ``UpdateResult.per_layer`` (a whole-vector solve is one segment).
+    ``realized_delta`` is ``-shared' w`` for the update actually
+    returned, which coincides with ``predicted_delta`` when the basis
+    was not relaxed.
     """
 
-    per_layer: tuple[LayerAlignment, ...]
     predicted_delta: float
     realized_delta: float
 
@@ -148,16 +146,11 @@ def predicted_loss_change(bundle: GradientBundle, res: UpdateResult) -> LossChan
     """
     if bundle.shared is None:
         raise ValueError("bundle has no old-task gradients")
-    entries = []
     delta = 0.0
-    for name, seg_res in res.per_layer or (("all", res),):
-        alignment = seg_res.shared_alignment
-        contributes = alignment >= 0.0
-        if contributes:
-            delta -= alignment
-        entries.append(LayerAlignment(name, alignment, contributes))
+    for _, seg_res in res.per_layer or (("all", res),):
+        if seg_res.shared_alignment >= 0.0:
+            delta -= seg_res.shared_alignment
     return LossChangeReport(
-        per_layer=tuple(entries),
         predicted_delta=delta,
         realized_delta=-float(bundle.shared @ res.w),
     )

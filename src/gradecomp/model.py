@@ -16,6 +16,7 @@ layer's weights and then its bias, in the order they sit in the vector.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -57,8 +58,11 @@ class MlpModel:
     def __init__(self, layer_sizes: list[int], seed: int = 0):
         if len(layer_sizes) < 2:
             raise ValueError("need at least an input and an output size")
-        if any(s < 1 for s in layer_sizes):
-            raise ValueError("layer sizes must be positive")
+        if any(
+            isinstance(s, bool) or not isinstance(s, numbers.Integral) or s < 1
+            for s in layer_sizes
+        ):
+            raise ValueError(f"layer sizes must be positive integers, got {layer_sizes!r}")
         self.layer_sizes = [int(s) for s in layer_sizes]
         self.seed = int(seed)
         fans = enumerate(zip(self.layer_sizes[:-1], self.layer_sizes[1:]))

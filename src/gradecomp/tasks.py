@@ -4,7 +4,9 @@ Three stream scenarios are supported: permuted features (every task sees
 the same data under a task-specific feature permutation, shared labels),
 split classes (disjoint class subsets per task), and data-incremental
 (disjoint shards of the same data, shared labels).  All generators are
-pure functions of their inputs and a seed.
+pure functions of their inputs and a seed; a :class:`TaskStream` holds
+only its scenario and its tasks.  Every class is cut into train and test
+rows by :func:`train_rows_per_class`, for synthetic and CSV data alike.
 """
 
 from __future__ import annotations
@@ -39,7 +41,6 @@ class Task:
 class TaskStream:
     scenario: str
     tasks: list[Task] = field(default_factory=list)
-    seed: int = 0
 
     def __post_init__(self):
         if self.scenario not in SCENARIOS:
@@ -57,16 +58,22 @@ class TaskStream:
         return int(self.tasks[0].train.inputs.shape[1])
 
 
+def train_rows_per_class(n: int) -> int:
+    """How many of a class's ``n`` rows train: 80% of them, at least one,
+    and one fewer than all when the class has two or more."""
+    n_train = int(round(TRAIN_FRACTION * n))
+    return min(max(n_train, 1), n - 1) if n > 1 else n
+
+
 def _per_class_cut(labels: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Train and test row indices: the leading 80% of each class's rows
-    (at least one, and one fewer than all when the class has two or more)
-    train, the rest test; both grouped by class in ascending label order."""
+    """Train and test row indices: the leading
+    :func:`train_rows_per_class` of each class's rows train, the rest
+    test; both grouped by class in ascending label order."""
     train_idx: list[np.ndarray] = []
     test_idx: list[np.ndarray] = []
     for c in np.unique(labels):
         idx = np.flatnonzero(labels == c)
-        n_train = int(round(TRAIN_FRACTION * idx.size))
-        n_train = min(max(n_train, 1), idx.size - 1) if idx.size > 1 else idx.size
+        n_train = train_rows_per_class(idx.size)
         train_idx.append(idx[:n_train])
         test_idx.append(idx[n_train:])
     return np.concatenate(train_idx), np.concatenate(test_idx)
@@ -141,7 +148,7 @@ def gen_permuted_tasks(
                 class_subset=all_classes,
             )
         )
-    return TaskStream(scenario=SCENARIO_PERMUTED, tasks=tasks, seed=seed)
+    return TaskStream(scenario=SCENARIO_PERMUTED, tasks=tasks)
 
 
 def gen_split_tasks(base: tuple[Batch, Batch], T: int, seed: int) -> TaskStream:
@@ -169,7 +176,7 @@ def gen_split_tasks(base: tuple[Batch, Batch], T: int, seed: int) -> TaskStream:
                 class_subset=subset,
             )
         )
-    return TaskStream(scenario=SCENARIO_SPLIT, tasks=tasks, seed=seed)
+    return TaskStream(scenario=SCENARIO_SPLIT, tasks=tasks)
 
 
 def gen_data_incremental_tasks(
@@ -202,7 +209,7 @@ def gen_data_incremental_tasks(
                 class_subset=all_classes,
             )
         )
-    return TaskStream(scenario=SCENARIO_DATA_INCREMENTAL, tasks=tasks, seed=seed)
+    return TaskStream(scenario=SCENARIO_DATA_INCREMENTAL, tasks=tasks)
 
 
 def load_csv_dataset(path, label_column) -> tuple[Batch, Batch]:

@@ -17,6 +17,10 @@ stores one episodic memory for the task in a plain list, in task order;
 that list (or, with ``replay_split_n``, its pooled re-split) is what
 every step of the next task replays.  The model has one layout segment
 per layer, and evaluation is task-aware exactly for split-class streams.
+To compare methods, call it once per method, as
+``train_sequence(stream, replace(cfg, variant=v))``, and read
+``gradecomp.metrics`` off each accuracy matrix (demo 04 does so);
+``gradecomp run`` does the same and writes the results to files.
 
 All randomness is drawn from generators seeded as ``run_seed + offset``
 with one fixed offset per role, so enabling one feature never perturbs
@@ -39,7 +43,7 @@ import math
 import numbers
 import re
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from functools import partial
 
 import numpy as np
@@ -80,6 +84,13 @@ LETTERS = {
 _NAME = re.compile(r"([a-z]+)(\+pca(\d*))?(\+lgu)?")
 
 
+def _is_count(value) -> bool:
+    """A positive integer; ``True`` and ``False`` are ``int`` but no count."""
+    return (
+        isinstance(value, numbers.Integral) and not isinstance(value, bool) and value >= 1
+    )
+
+
 @dataclass(frozen=True)
 class MethodVariant:
     """Update rule selector.
@@ -103,10 +114,10 @@ class MethodVariant:
         if self.pca_k is not None:
             if self.kind != KIND_OURS:
                 raise ValueError(f"method {self.kind!r} takes no principal-direction k")
-            k = self.pca_k
-            if isinstance(k, bool) or not isinstance(k, numbers.Integral) or k < 1:
+            if not _is_count(self.pca_k):
                 raise ValueError(
-                    f"principal-direction k must be an integer at least 1, got {k!r}"
+                    f"principal-direction k must be an integer at least 1, "
+                    f"got {self.pca_k!r}"
                 )
 
     @property
@@ -173,16 +184,21 @@ class TrainConfig:
     replay_split_n: int | None = None
 
     def __post_init__(self):
-        if not (math.isfinite(self.eta) and self.eta > 0.0):
-            raise ValueError(f"eta must be positive and finite, got {self.eta}")
+        if isinstance(self.eta, bool) or not (
+            math.isfinite(self.eta) and self.eta > 0.0
+        ):
+            raise ValueError(f"eta must be positive and finite, got {self.eta!r}")
         if self.memory_policy not in mem.POLICIES:
             raise ValueError(
                 f"memory_policy must be one of {mem.POLICIES}, got {self.memory_policy!r}"
             )
-        if min(self.bs_new, self.bs_old, self.memory_size) < 1:
-            raise ValueError("batch sizes and memory size must be positive")
-        if self.replay_split_n is not None and self.replay_split_n < 1:
-            raise ValueError("replay_split_n must be at least 1")
+        counts = ["bs_new", "bs_old", "memory_size"]
+        if self.replay_split_n is not None:
+            counts.append("replay_split_n")
+        for name in counts:
+            value = getattr(self, name)
+            if not _is_count(value):
+                raise ValueError(f"{name} must be a positive integer, got {value!r}")
 
 
 @dataclass
@@ -387,34 +403,3 @@ def train_sequence(
             R[t, i] = model.evaluate(stream.tasks[i].test, subset)
 
     return R, log
-
-
-@dataclass
-class AblationRow:
-    name: str
-    acc: float
-    bwt: float | None
-    seconds: float
-
-
-def run_ablation(
-    stream: TaskStream, base_cfg: TrainConfig, variants: list[MethodVariant]
-) -> list[AblationRow]:
-    """Train every variant on the same stream and seed; tabulate metrics."""
-    from . import metrics
-
-    rows = []
-    for variant in variants:
-        cfg = replace(base_cfg, variant=variant)
-        start = time.perf_counter()
-        R, _ = train_sequence(stream, cfg)
-        seconds = time.perf_counter() - start
-        rows.append(
-            AblationRow(
-                name=variant.name,
-                acc=metrics.acc(R),
-                bwt=metrics.bwt(R),
-                seconds=seconds,
-            )
-        )
-    return rows

@@ -119,16 +119,17 @@ class TestLayerwiseSolve:
 class TestPredictedLossChange:
     def test_aligned_concatenated_case(self):
         bundle = decompose(np.array([1.0, 0.0]), [np.array([1.0, 0.0])])
-        report = predicted_loss_change(bundle, decomposed_update(bundle))
+        res = decomposed_update(bundle)
+        report = predicted_loss_change(bundle, res)
+        assert res.shared_alignment == pytest.approx(1.0)
         assert report.predicted_delta == pytest.approx(-1.0)
-        assert report.per_layer[0].contributes
 
     def test_conflicting_concatenated_case_is_zero(self):
         bundle = decompose(np.array([-1.0, 0.0]), [np.array([1.0, 0.0])])
         res = solver.solve_update(bundle.new_grad, bundle.shared, np.zeros((2, 0)))
         report = predicted_loss_change(bundle, res)
+        assert res.shared_alignment < 0.0
         assert report.predicted_delta == 0.0
-        assert not report.per_layer[0].contributes
 
     def test_layerwise_sums_only_contributing_segments(self):
         # alignments +0.5 and -0.3 across two segments
@@ -137,10 +138,9 @@ class TestPredictedLossChange:
         bundle = decompose(g, old)
         res = layerwise_solve(bundle, layout_of(2, 2), decomposed_update)
         report = predicted_loss_change(bundle, res)
-        aligns = [e.alignment for e in report.per_layer]
+        aligns = [r.shared_alignment for _, r in res.per_layer]
         assert aligns == [pytest.approx(0.5), pytest.approx(-0.3)]
         assert report.predicted_delta == pytest.approx(-0.5)
-        assert [e.contributes for e in report.per_layer] == [True, False]
 
     def test_realized_delta_matches_prediction_for_matching_update(self):
         rng = np.random.default_rng(405)

@@ -65,6 +65,11 @@ class TestForward:
                 model.forward(X), hand_forward(model, X), atol=1e-12
             )
 
+    @pytest.mark.parametrize("sizes", [[4, 2.5, 3], [4, True, 3], [4, 0, 3]])
+    def test_non_integer_or_non_positive_size_rejected(self, sizes):
+        with pytest.raises(ValueError, match="layer sizes"):
+            MlpModel(sizes, seed=0)
+
     def test_width_mismatch_rejected(self):
         model = MlpModel([3, 2], seed=0)
         with pytest.raises(ValueError):

@@ -6,6 +6,7 @@ and compares against the update the trainer actually applied.
 """
 
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -306,6 +307,19 @@ class TestVariantEquivalences:
             results[letter] = R
         assert np.array_equal(results["b"], results["gem"], equal_nan=True)
 
+    def test_degenerate_two_task_equivalence(self):
+        # with a single stored memory the averaged constraint and the
+        # decomposed method produce the same metrics
+        stream = make_stream(18, T=2)
+        cfg = TrainConfig(seed=8, variant=variant_single(), hidden_sizes=(6,))
+        R = {}
+        for letter in ("b", "d"):
+            R[letter], _ = train_sequence(
+                stream, replace(cfg, variant=variant_from_name(letter))
+            )
+        assert metrics.acc(R["b"]) == metrics.acc(R["d"])
+        assert metrics.bwt(R["b"]) == metrics.bwt(R["d"])
+
     def test_single_segment_layout_matches_concatenated(self):
         # a one-hidden-layer model collapses to... still two segments, so
         # force one segment by comparing per-slice solves on a single-layer
@@ -408,34 +422,17 @@ class TestTrainConfig:
             (dict(eta=0.0), "eta"),
             (dict(eta=-0.1), "eta"),
             (dict(memory_policy="fifo"), "memory_policy"),
+            (dict(eta=True), "eta"),
+            (dict(bs_new=True), "bs_new"),
+            (dict(bs_new=0), "bs_new"),
+            (dict(bs_old=2.5), "bs_old"),
+            (dict(memory_size=2.5), "memory_size"),
+            (dict(memory_size=False), "memory_size"),
+            (dict(replay_split_n=1.5), "replay_split_n"),
+            (dict(replay_split_n=0), "replay_split_n"),
         ],
     )
     def test_invalid_setting_rejected(self, kwargs, message):
         with pytest.raises(ValueError, match=message):
             TrainConfig(**kwargs)
 
-
-class TestRunAblation:
-    def test_well_formed_table(self):
-        stream = make_stream(17, T=2, npc=20)
-        cfg = TrainConfig(seed=7, variant=variant_single(), hidden_sizes=(6,))
-        variants = [variant_from_name(letter, k=1) for letter in "abcdefg"]
-        rows = trainer.run_ablation(stream, cfg, variants)
-        assert len(rows) == 7
-        names = [r.name for r in rows]
-        assert len(set(names)) == 7
-        for row in rows:
-            assert 0.0 <= row.acc <= 1.0
-            assert row.bwt is not None
-            assert row.seconds > 0
-
-    def test_degenerate_two_task_equivalence(self):
-        # with a single stored memory the averaged constraint and the
-        # decomposed method produce the same metrics
-        stream = make_stream(18, T=2)
-        cfg = TrainConfig(seed=8, variant=variant_single(), hidden_sizes=(6,))
-        rows = trainer.run_ablation(
-            stream, cfg, [variant_from_name("b"), variant_from_name("d")]
-        )
-        assert rows[0].acc == rows[1].acc
-        assert rows[0].bwt == rows[1].bwt
