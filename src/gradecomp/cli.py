@@ -10,12 +10,16 @@ Verbs:
 The config is one optional JSON file; any key can be overridden on the
 command line as ``key.path=value`` (values are parsed as JSON, falling
 back to plain strings).  Overrides always win.  The ``model`` and
-``train`` defaults are those of ``trainer.TrainConfig``.
+``train`` defaults are those of ``trainer.TrainConfig``, which also decides
+which ``seed``, ``seeds``, ``model`` and ``train`` values are valid;
+``trainer.variant_from_name`` decides the variant names, ``pca_k`` and
+``sweep.k_values``.  For those keys this module checks only the JSON
+shape, such as a list where one is due; it checks the ``data`` keys itself.
 
 Key tree with defaults:
 
-    seed: 0                 run seed; data and training derive from it
-    seeds: null             optional seed list used by sweep-k
+    seed: 0                 run seed, an integer >= 0; data and training derive from it
+    seeds: null             optional list of such seeds, used by sweep-k
     out_dir: "runs/out"
     data:
       source: "synthetic"   or "csv"
@@ -73,7 +77,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import __version__, memory, metrics, tasks, trainer, verify
+from . import __version__, metrics, tasks, trainer, verify
 
 DATA_SEED_OFFSET = 0
 STREAM_SEED_OFFSET = 1
@@ -185,23 +189,33 @@ def _is_int(value) -> bool:
     return isinstance(value, int) and not isinstance(value, bool)
 
 
-def _check_variant(name, pca_k: int, key: str) -> None:
-    _expect(isinstance(name, str), key, "must be a string")
+def _ask(key: str, owner, *args, **kwargs) -> None:
+    """Build ``owner(*args, **kwargs)``; the setting's owner decides, and
+    its ``ValueError`` names ``key``."""
     try:
-        trainer.variant_from_name(name, k=pca_k)
+        owner(*args, **kwargs)
     except ValueError as exc:
         raise ConfigError(key, str(exc)) from exc
 
 
+def _check_variant(name, pca_k: int, key: str) -> None:
+    _expect(isinstance(name, str), key, "must be a string")
+    _ask(key, trainer.variant_from_name, name, k=pca_k)
+
+
+def _check_k(k, key: str) -> None:
+    # variant_from_name reads a null k as "no k given"
+    _expect(k is not None, key, "must be an integer")
+    _ask(key, trainer.variant_from_name, "e", k=k)
+
+
 def _validate(config: dict) -> None:
-    _expect(_is_int(config["seed"]), "seed", "must be an integer")
+    _ask("seed", trainer.TrainConfig, seed=config["seed"])
     seeds = config["seeds"]
     if seeds is not None:
-        _expect(
-            isinstance(seeds, list) and seeds and all(_is_int(s) for s in seeds),
-            "seeds",
-            "must be a non-empty list of integers",
-        )
+        _expect(isinstance(seeds, list) and seeds, "seeds", "must be a non-empty list")
+        for seed in seeds:
+            _ask("seeds", trainer.TrainConfig, seed=seed)
     data = config["data"]
     _expect(data["source"] in ("synthetic", "csv"), "data.source",
             "must be 'synthetic' or 'csv'")
@@ -234,32 +248,12 @@ def _validate(config: dict) -> None:
         )
         _expect(isinstance(label, str) or label >= 0, "data.label_column",
                 "a column index must be non-negative")
-    model = config["model"]
-    _expect(
-        isinstance(model["hidden_sizes"], list)
-        and all(_is_int(h) and h >= 1 for h in model["hidden_sizes"]),
-        "model.hidden_sizes",
-        "must be a list of positive integers",
-    )
-    train = config["train"]
-    eta = train["eta"]
-    # the upper bound rejects infinities and integers too large for a float;
-    # NaN fails both comparisons
-    _expect(
-        (_is_int(eta) or isinstance(eta, float)) and 0 < eta <= sys.float_info.max,
-        "train.eta",
-        "must be a positive finite number",
-    )
-    for key in ("bs_new", "bs_old", "memory_size"):
-        _expect(_is_int(train[key]) and train[key] >= 1, f"train.{key}",
-                "must be a positive integer")
-    _expect(train["memory_policy"] in memory.POLICIES, "train.memory_policy",
-            f"must be one of {memory.POLICIES}")
-    if train["replay_split_n"] is not None:
-        _expect(_is_int(train["replay_split_n"]) and train["replay_split_n"] >= 1,
-                "train.replay_split_n", "must be a positive integer or null")
-    _expect(_is_int(config["pca_k"]) and config["pca_k"] >= 1, "pca_k",
-            "must be a positive integer")
+    hidden = config["model"]["hidden_sizes"]
+    _expect(isinstance(hidden, list), "model.hidden_sizes", "must be a list")
+    _ask("model.hidden_sizes", trainer.TrainConfig, hidden_sizes=tuple(hidden))
+    for key, value in config["train"].items():
+        _ask(f"train.{key}", trainer.TrainConfig, **{key: value})
+    _check_k(config["pca_k"], "pca_k")
     variants = config["variants"]
     _expect(isinstance(variants, list) and variants, "variants",
             "must be a non-empty list")
@@ -267,13 +261,11 @@ def _validate(config: dict) -> None:
         _check_variant(name, config["pca_k"], f"variants[{i}]")
     sweep = config["sweep"]
     _check_variant(sweep["variant"], config["pca_k"], "sweep.variant")
-    _expect(
-        isinstance(sweep["k_values"], list)
-        and sweep["k_values"]
-        and all(_is_int(k) and k >= 1 for k in sweep["k_values"]),
-        "sweep.k_values",
-        "must be a non-empty list of positive integers",
-    )
+    k_values = sweep["k_values"]
+    _expect(isinstance(k_values, list) and k_values, "sweep.k_values",
+            "must be a non-empty list")
+    for k in k_values:
+        _check_k(k, "sweep.k_values")
 
 
 def build_variant(name: str, pca_k: int) -> trainer.MethodVariant:
@@ -327,14 +319,28 @@ def write_matrix_csv(path: Path, R: np.ndarray) -> None:
 
 
 def read_matrix_csv(path: Path) -> np.ndarray:
+    """The matrix :func:`write_matrix_csv` wrote: a ``step,1,...,T`` header
+    and T rows, row t reading ``t`` and then t values and T - t empty
+    cells.  Any other layout raises ``ValueError`` naming the file and row."""
     lines = path.read_text(encoding="utf-8").strip().splitlines()
-    T = len(lines) - 1
+    header = lines[0].split(",") if lines else []
+    T = len(header) - 1
+    if T < 1 or header != ["step", *(str(i + 1) for i in range(T))]:
+        raise ValueError(f"{path}: the header must read step,1,...,T")
+    if len(lines) != T + 1:
+        raise ValueError(f"{path}: {len(lines) - 1} rows under a header of {T} tasks")
     R = np.full((T, T), np.nan)
     for t, line in enumerate(lines[1:]):
-        cells = line.split(",")[1:]
-        for i, cell in enumerate(cells):
-            if cell:
-                R[t, i] = float(cell)
+        step, *cells = line.split(",")
+        if step != str(t + 1) or [bool(c) for c in cells] != [i <= t for i in range(T)]:
+            raise ValueError(
+                f"{path}: row {t + 1} must be its step number, {t + 1} filled "
+                f"and {T - t - 1} empty cells"
+            )
+        try:
+            R[t, : t + 1] = [float(c) for c in cells[: t + 1]]
+        except ValueError as exc:
+            raise ValueError(f"{path}: row {t + 1}: {exc}") from None
     return R
 
 

@@ -24,6 +24,12 @@ import numpy as np
 from .layerwise import ParamLayout
 
 
+def _is_count(value, least: int = 1) -> bool:
+    """An integer >= ``least``; ``True`` and ``False`` are ``int`` but no count."""
+    is_int = isinstance(value, numbers.Integral) and not isinstance(value, bool)
+    return is_int and value >= least
+
+
 @dataclass
 class Batch:
     """Dense feature rows plus integer class labels."""
@@ -58,10 +64,7 @@ class MlpModel:
     def __init__(self, layer_sizes: list[int], seed: int = 0):
         if len(layer_sizes) < 2:
             raise ValueError("need at least an input and an output size")
-        if any(
-            isinstance(s, bool) or not isinstance(s, numbers.Integral) or s < 1
-            for s in layer_sizes
-        ):
+        if not all(_is_count(s) for s in layer_sizes):
             raise ValueError(f"layer sizes must be positive integers, got {layer_sizes!r}")
         self.layer_sizes = [int(s) for s in layer_sizes]
         self.seed = int(seed)

@@ -39,9 +39,9 @@ replay-buffer split   53
 
 from __future__ import annotations
 
-import math
 import numbers
 import re
+import sys
 import time
 from dataclasses import dataclass, field
 from functools import partial
@@ -52,7 +52,7 @@ from . import layerwise as lw
 from . import memory as mem
 from . import solver
 from .decomp import GradientBundle, decompose, shared_gradient
-from .model import Batch, MlpModel
+from .model import Batch, MlpModel, _is_count
 from .tasks import SCENARIO_SPLIT, TaskStream
 
 SEED_MODEL_INIT = 11
@@ -82,13 +82,6 @@ LETTERS = {
     "g": "ours+pca+lgu",
 }
 _NAME = re.compile(r"([a-z]+)(\+pca(\d*))?(\+lgu)?")
-
-
-def _is_count(value) -> bool:
-    """A positive integer; ``True`` and ``False`` are ``int`` but no count."""
-    return (
-        isinstance(value, numbers.Integral) and not isinstance(value, bool) and value >= 1
-    )
 
 
 @dataclass(frozen=True)
@@ -155,11 +148,11 @@ def variant_from_name(name: str, k: int | None = None) -> MethodVariant:
     form ``kind[+pca[N]][+lgu]``, which covers every
     :attr:`MethodVariant.name`.  A principal-direction name without its
     own ``N`` takes ``k``, or 1 when ``k`` is ``None``.  Raises
-    ``ValueError`` on an unknown name, an invalid combination, or
-    ``k < 1``.
+    ``ValueError`` on an unknown name, an invalid combination, or a
+    ``k`` that is not an integer of at least 1.
     """
-    if k is not None and k < 1:
-        raise ValueError(f"principal-direction k must be at least 1, got {k}")
+    if k is not None:
+        MethodVariant(KIND_OURS, pca_k=k)  # raises on a k that is no count
     lowered = name.lower()
     match = _NAME.fullmatch(LETTERS.get(lowered, lowered))
     if match is None:
@@ -173,6 +166,15 @@ def variant_from_name(name: str, k: int | None = None) -> MethodVariant:
 
 @dataclass(frozen=True)
 class TrainConfig:
+    """Every setting of one training run, checked on construction: a
+    ``ValueError`` names the first field that breaks its rule.
+
+    ``eta`` is a number in ``(0, sys.float_info.max]``; ``bs_new``,
+    ``bs_old``, ``memory_size`` and a non-``None`` ``replay_split_n`` are
+    integers >= 1, as is each entry of the tuple ``hidden_sizes``;
+    ``seed`` is an integer >= 0; ``memory_policy`` is in
+    ``memory.POLICIES``.  ``True`` and ``False`` count as no integer."""
+
     eta: float = 0.1
     bs_new: int = 10
     bs_old: int = 20
@@ -184,21 +186,29 @@ class TrainConfig:
     replay_split_n: int | None = None
 
     def __post_init__(self):
-        if isinstance(self.eta, bool) or not (
-            math.isfinite(self.eta) and self.eta > 0.0
+        # the upper bound rejects infinities and integers too large for a
+        # float without converting them; NaN fails both comparisons
+        if not (
+            isinstance(self.eta, numbers.Real) and not isinstance(self.eta, bool)
+            and 0 < self.eta <= sys.float_info.max
         ):
-            raise ValueError(f"eta must be positive and finite, got {self.eta!r}")
+            raise ValueError(f"eta must be a positive finite number, got {self.eta!r}")
+        hidden = self.hidden_sizes
+        if not (isinstance(hidden, tuple) and all(map(_is_count, hidden))):
+            raise ValueError(
+                f"hidden_sizes must be a tuple of integers >= 1, got {hidden!r}"
+            )
         if self.memory_policy not in mem.POLICIES:
             raise ValueError(
                 f"memory_policy must be one of {mem.POLICIES}, got {self.memory_policy!r}"
             )
-        counts = ["bs_new", "bs_old", "memory_size"]
+        least = {"bs_new": 1, "bs_old": 1, "memory_size": 1, "seed": 0}
         if self.replay_split_n is not None:
-            counts.append("replay_split_n")
-        for name in counts:
+            least["replay_split_n"] = 1
+        for name, low in least.items():
             value = getattr(self, name)
-            if not _is_count(value):
-                raise ValueError(f"{name} must be a positive integer, got {value!r}")
+            if not _is_count(value, low):
+                raise ValueError(f"{name} must be an integer >= {low}, got {value!r}")
 
 
 @dataclass

@@ -2,11 +2,17 @@
 wraps or calls; a renamed or dropped one would otherwise show up only in
 a traced benchmark run."""
 
+import json
+from dataclasses import replace
 from pathlib import Path
+
+import numpy as np
 
 import pytest
 
-BENCH = Path(__file__).resolve().parent.parent / "perfbench"
+ROOT = Path(__file__).resolve().parent.parent
+BENCH = ROOT / "perfbench"
+LISTED = [w["name"] for w in json.loads((ROOT / "BENCHMARK.json").read_text())["workloads"]]
 
 
 @pytest.fixture
@@ -43,3 +49,15 @@ def test_gate_installs_and_restores(perfbench):
         g.uninstall()
     assert (trainer.train_step, solver.solve_update, solver.agem_update,
             solver.gem_qp_update) == before
+
+
+@pytest.mark.parametrize("name", LISTED)
+def test_listed_workload_runs_a_short_sequence(perfbench, tmp_path, name):
+    # the path a benchmark run takes (config, variant, stream, training and,
+    # for CLI workloads, the output files) on a 3-task, 10-per-class stream
+    _, _, workloads = perfbench
+    wl = replace(workloads.WORKLOADS[name], tasks=3, n_per_class=10)
+    seq = workloads.run_sequence(wl, workloads.setup(wl, seed=1), tmp_path)
+    assert seq.R.shape == (3, 3)
+    lower = seq.R[np.tril_indices(3)]
+    assert ((lower >= 0.0) & (lower <= 1.0)).all()

@@ -1,5 +1,6 @@
 """CLI verbs, config handling, output files, and the verify suites."""
 
+import dataclasses
 import json
 
 import numpy as np
@@ -150,6 +151,39 @@ class TestConfigHandling:
         code = cli.main(["run", f"out_dir={tmp_path / 'out'}", *overrides])
         assert code == 2
         assert f"config key {key!r}" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    # one invalid value per TrainConfig field the config sets; a field
+    # added without a key or a rule fails here
+    INVALID_SETTING = {
+        "eta": 0, "bs_new": 0, "bs_old": 2.5, "memory_size": -1,
+        "hidden_sizes": [0], "seed": -1, "memory_policy": "fifo",
+        "replay_split_n": 0,
+    }
+
+    @pytest.mark.parametrize(
+        "field",
+        [f.name for f in dataclasses.fields(trainer.TrainConfig) if f.name != "variant"],
+    )
+    def test_every_train_config_field_is_checked(self, tmp_path, capsys, field):
+        key = {"seed": "seed", "hidden_sizes": "model.hidden_sizes"}.get(
+            field, f"train.{field}")
+        value = json.dumps(self.INVALID_SETTING[field])
+        code = cli.main(["run", f"out_dir={tmp_path / 'out'}", f"{key}={value}"])
+        assert code == 2
+        assert f"config key {key!r}" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize(
+        "argv, key",
+        [(["run", "seed=-1"], "seed"), (["sweep-k", "seeds=[1,-3]"], "seeds")],
+    )
+    def test_negative_seed_exit_2_before_any_output(self, tmp_path, capsys, argv, key):
+        code = cli.main([*argv, f"out_dir={tmp_path / 'out'}", "data.tasks=3"])
+        assert code == 2
+        captured = capsys.readouterr()
+        assert f"config key {key!r}" in captured.err
+        assert captured.out == ""
         assert not (tmp_path / "out").exists()
 
     def test_unknown_variant_name_exit_2(self, tmp_path, capsys):
@@ -407,6 +441,29 @@ class TestCmdReport:
 
     def test_report_missing_directory_exit_2(self, tmp_path):
         assert cli.main(["report", str(tmp_path / "missing")]) == 2
+
+    @pytest.mark.parametrize(
+        "text, where",
+        [
+            ("step,1\n1,0.5,0.7\n", "row 1"),
+            ("step,1,2\n1,0.5,\n", "1 rows under a header of 2 tasks"),
+            ("step,1\n1,abc\n", "row 1"),
+            ("step,2\n1,0.5\n", "header"),
+            ("step,1,2\n1,0.5,\n3,0.4,0.9\n", "row 2"),
+            ("step,1,2\n1,0.5,0.6\n2,0.4,0.9\n", "row 1"),
+            ("step,1,2\n1,0.5,\n2,,0.9\n", "row 2"),
+        ],
+        ids=["extra-cell", "truncated", "not-a-number", "header", "wrong-step",
+             "above-diagonal", "hole-below-diagonal"],
+    )
+    def test_malformed_matrix_exit_3_naming_file_and_row(self, tmp_path, capsys, text, where):
+        path = tmp_path / "run" / "matrix.csv"
+        path.parent.mkdir()
+        path.write_text(text, encoding="utf-8")
+        assert cli.main(["report", str(tmp_path)]) == 3
+        err = capsys.readouterr().err
+        assert f"runtime failure: {path}: " in err
+        assert where in err
 
 
 class TestFormatting:

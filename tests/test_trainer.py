@@ -379,7 +379,7 @@ class TestVariantNames:
         assert variant_from_name("ours+pca3", k=1).pca_k == 3
         assert variant_from_name("d", k=4).pca_k is None
 
-    @pytest.mark.parametrize("k", [0, -1])
+    @pytest.mark.parametrize("k", [0, -1, "2", 2.5, True])
     def test_k_below_one_rejected(self, k):
         for name in ("e", "ours+pca+lgu", "d"):
             with pytest.raises(ValueError, match="at least 1"):
@@ -430,6 +430,17 @@ class TestTrainConfig:
             (dict(memory_size=False), "memory_size"),
             (dict(replay_split_n=1.5), "replay_split_n"),
             (dict(replay_split_n=0), "replay_split_n"),
+            (dict(seed=-1), "seed"),
+            (dict(seed=2.5), "seed"),
+            (dict(seed=True), "seed"),
+            (dict(seed="1"), "seed"),
+            (dict(hidden_sizes=(0,)), "hidden_sizes"),
+            (dict(hidden_sizes=(2.5,)), "hidden_sizes"),
+            (dict(hidden_sizes=(True,)), "hidden_sizes"),
+            (dict(hidden_sizes=5), "hidden_sizes"),
+            (dict(eta="0.1"), "eta"),
+            (dict(eta=None), "eta"),
+            (dict(eta=10**400), "eta"),
         ],
     )
     def test_invalid_setting_rejected(self, kwargs, message):
