@@ -27,7 +27,7 @@ Key tree with defaults:
       classes: 3            synthetic only; at least 2
       dim: 32               synthetic only; at least 2
       n_per_class: 100      synthetic only; at least 2
-      tasks: 5              synthetic: divides classes (split), <= train rows (shards)
+      tasks: 5              divides the classes (split), <= train rows (shards), CSV too
       csv_path: null        csv only
       label_column: null    csv only (name or zero-based index)
     model:
@@ -229,15 +229,8 @@ def _validate(config: dict) -> None:
         # dimensions and splits every class into train and test rows
         for key in ("classes", "dim", "n_per_class"):
             _expect(data[key] >= 2, f"data.{key}", "must be at least 2 for synthetic data")
-        if data["scenario"] == tasks.SCENARIO_SPLIT:
-            _expect(data["classes"] % data["tasks"] == 0, "data.tasks",
-                    f"must divide data.classes ({data['classes']}) "
-                    f"for {tasks.SCENARIO_SPLIT!r}")
-        if data["scenario"] == tasks.SCENARIO_DATA_INCREMENTAL:
-            n_train = data["classes"] * tasks.train_rows_per_class(data["n_per_class"])
-            _expect(data["tasks"] <= n_train, "data.tasks",
-                    f"must not exceed the {n_train} training rows to shard "
-                    f"for {tasks.SCENARIO_DATA_INCREMENTAL!r}")
+        n_train = data["classes"] * tasks.train_rows_per_class(data["n_per_class"])
+        _check_task_count(data, data["classes"], n_train)
     if data["source"] == "csv":
         _expect(isinstance(data["csv_path"], str), "data.csv_path",
                 "required when data.source is 'csv'")
@@ -266,6 +259,26 @@ def _validate(config: dict) -> None:
             "must be a non-empty list")
     for k in k_values:
         _check_k(k, "sweep.k_values")
+    if data["source"] == "csv":
+        # a CSV's class and row counts are known only once it is read, so
+        # it is read after every other key has been checked; a file that
+        # fails to load is a runtime failure, not a config error
+        train, test = tasks.load_csv_dataset(data["csv_path"], data["label_column"])
+        n_classes = np.unique(np.concatenate([train.labels, test.labels])).size
+        _check_task_count(data, n_classes, len(train))
+
+
+def _check_task_count(data: dict, n_classes: int, n_train: int) -> None:
+    """``data.tasks`` against the dataset's class and training-row counts,
+    by the rule of the scenario's task generator."""
+    if data["scenario"] == tasks.SCENARIO_SPLIT:
+        _expect(n_classes % data["tasks"] == 0, "data.tasks",
+                f"must divide the class count ({n_classes}) "
+                f"for {tasks.SCENARIO_SPLIT!r}")
+    if data["scenario"] == tasks.SCENARIO_DATA_INCREMENTAL:
+        _expect(data["tasks"] <= n_train, "data.tasks",
+                f"must not exceed the {n_train} training rows to shard "
+                f"for {tasks.SCENARIO_DATA_INCREMENTAL!r}")
 
 
 def build_variant(name: str, pca_k: int) -> trainer.MethodVariant:

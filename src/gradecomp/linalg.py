@@ -1,21 +1,41 @@
-"""Dense linear-algebra kernels: orthonormalization with rank detection
-(through LAPACK's Householder QR), Gram-matrix PCA (through LAPACK's
-symmetric eigensolver), and matrix-free null-space projection.
+"""Dense linear-algebra kernels: orthonormalization with rank detection,
+Gram-matrix PCA (through LAPACK's symmetric eigensolver), and
+matrix-free null-space projection.
 
-``modified_gram_schmidt`` keeps the Gram-Schmidt contract (columns taken
-left to right, a column dropped when its residual against the kept ones
-falls below ``rel_tol`` times the largest column norm) but computes it
-with one LAPACK Householder QR of the input whose reflectors are
-accumulated in compact WY form: one Gram matrix of the reflectors, one
-small triangular solve and one matrix product; no Python loop runs over
-the rows.
+Two kernels build an orthonormal basis of a column collection:
+
+* ``orthonormal_basis`` is the one training uses.  It works through the
+  small Gram matrix ``X'X`` (CholeskyQR with an eigensolver in place of
+  the Cholesky factor, run twice when needed; Fukaya et al., 2014): two
+  tall products and one small ``eigh`` per pass, where the QR below
+  makes a Householder sweep over the rows.  It keeps every column, so it
+  runs only where ``sigma_min / sigma_max`` of ``X``, read off the
+  eigenvalues, exceeds ``GRAM_RATIO_FLOOR`` (or ``rel_tol``, if larger).
+  There every Gram-Schmidt residual is at least ``sigma_min``, so the QR
+  would keep every column too.  The floor also holds the Gram route to
+  the bars of ``verify.suite_basis_adversarial``: its span error is
+  bounded by about ``eps * kappa`` of the largest column, 2e-12 at the
+  floor (measured: 1.4e-15), and one pass leaves ``|B'B - I|`` below
+  about 1.4e-7, from which the second pass reaches working precision.
+  Every other input (rank deficient or nearly so, wide, empty,
+  non-finite, or so small that its Gram matrix underflows) goes to
+  ``modified_gram_schmidt`` unchanged.
+* ``modified_gram_schmidt`` keeps the Gram-Schmidt contract (columns
+  taken left to right, a column dropped when its residual against the
+  kept ones falls below ``rel_tol`` times the largest column norm) but
+  computes it with one LAPACK Householder QR of the input whose
+  reflectors are accumulated in compact WY form: one Gram matrix of the
+  reflectors, one small triangular solve and one matrix product; no
+  Python loop runs over the rows.  It is accurate whatever the
+  conditioning.
 
 All kernels work on plain float64 numpy arrays.  Vectors are 1-D arrays;
 bases and column collections are 2-D arrays whose columns are the vectors
 of interest.  A basis with zero columns (shape ``(n, 0)``) is a valid
 value everywhere and means "no constraints".  A basis matters only
 through the span of its columns, that is through the projector
-``I - B B'``, so its column signs are not part of any kernel's contract.
+``I - B B'``, so neither its column signs nor, on the Gram route, its
+choice of directions within the span is part of any kernel's contract.
 """
 
 from __future__ import annotations
@@ -23,6 +43,21 @@ from __future__ import annotations
 import numpy as np
 
 DEFAULT_RANK_TOL = 1e-10
+
+# the Gram route runs only above this sigma_min / sigma_max (see the
+# module docstring); the QR takes everything at or below it
+GRAM_RATIO_FLOOR = 1e-4
+# the orthonormality a single Gram pass must reach to skip the second
+# pass: |B'B - I| <= ORTH_TOL, the bar of verify.suite_basis_adversarial
+ORTH_TOL = 1e-12
+# one pass leaves |B'B - I| at most about ONE_PASS_LOSS * eps * kappa^2:
+# measured up to 6.5 on 4,000 random inputs with kappa^2 in 300..3e4 and
+# up to 2.2 on 172 training segments
+ONE_PASS_LOSS = 8.0
+_EPS = float(np.finfo(np.float64).eps)
+# a smallest eigenvalue below this is too close to underflow for the
+# Gram matrix to hold it to working precision
+_GRAM_UNDERFLOW = float(np.finfo(np.float64).tiny) / _EPS
 
 
 def _as_matrix(X) -> np.ndarray:
@@ -135,6 +170,48 @@ def modified_gram_schmidt(X, rel_tol: float = DEFAULT_RANK_TOL) -> np.ndarray:
     Y = np.linalg.solve(T_inv, V[:r].T @ C)
     B = V @ -Y
     B[:r] += C
+    return B
+
+
+def orthonormal_basis(X, rel_tol: float = DEFAULT_RANK_TOL) -> np.ndarray:
+    """Orthonormal basis of the column space of ``X``: through its Gram
+    matrix when ``X`` is well conditioned, else ``modified_gram_schmidt``.
+
+    1. ``lam, V = eigh(X'X)``.
+    2. When ``sigma_min / sigma_max = sqrt(lam_min / lam_max)`` is at most
+       ``max(GRAM_RATIO_FLOOR, rel_tol)``, the eigenvalues are not finite
+       (``eigh`` raises on non-finite input), or ``lam_min`` is near
+       underflow, return ``modified_gram_schmidt(X, rel_tol)``: its rank
+       contract and its ``ValueError`` on non-finite input hold as they
+       are.
+    3. Otherwise ``B = X V diag(lam)^-1/2``: every column is kept, as the
+       QR would keep it, and ``|B'B - I|`` is about ``eps * kappa^2``.
+    4. When ``ONE_PASS_LOSS * eps * kappa^2`` exceeds ``ORTH_TOL``, run
+       step 3 once more on ``B``.  Its ``kappa`` is then within about
+       1e-7 of 1, so the second pass leaves ``|B'B - I|`` near ``eps``.
+
+    Returns an ``(n_rows, k)`` matrix with orthonormal columns spanning
+    those of ``X``; the Gram route picks its own directions within that
+    span and returns them F-ordered.  ``X`` is never modified.
+    """
+    X = _as_matrix(X)
+    if X.shape[1] == 0 or rel_tol <= 0.0:
+        return modified_gram_schmidt(X, rel_tol)
+    try:
+        lam, V = np.linalg.eigh(X.T @ X)
+    except np.linalg.LinAlgError:
+        return modified_gram_schmidt(X, rel_tol)
+    # NaN fails the comparison, and an infinite lam_max makes the floor inf
+    floor = max(GRAM_RATIO_FLOOR, rel_tol) ** 2 * lam[-1]
+    if not lam[0] > max(floor, _GRAM_UNDERFLOW):
+        return modified_gram_schmidt(X, rel_tol)
+    # B is formed as (W' X')' so that it is F-ordered, its columns
+    # contiguous: on 303-13,703 x 18 inputs that made the kernel 10-20%
+    # and the solver's projections through B 20-40% faster than C order
+    B = ((V / np.sqrt(lam)).T @ X.T).T
+    if ONE_PASS_LOSS * _EPS * lam[-1] > ORTH_TOL * lam[0]:
+        lam, V = np.linalg.eigh(B.T @ B)
+        B = ((V / np.sqrt(lam)).T @ B.T).T
     return B
 
 

@@ -66,6 +66,8 @@ class MlpModel:
             raise ValueError("need at least an input and an output size")
         if not all(_is_count(s) for s in layer_sizes):
             raise ValueError(f"layer sizes must be positive integers, got {layer_sizes!r}")
+        if not _is_count(seed, 0):
+            raise ValueError(f"seed must be an integer >= 0, got {seed!r}")
         self.layer_sizes = [int(s) for s in layer_sizes]
         self.seed = int(seed)
         fans = enumerate(zip(self.layer_sizes[:-1], self.layer_sizes[1:]))

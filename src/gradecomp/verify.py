@@ -364,10 +364,14 @@ def suite_basis_adversarial(
     ``rank <= min(n, m)`` (exact where the family fixes it), and that
     finite input never raises.
 
-    ``basis_fn`` defaults to ``linalg.modified_gram_schmidt``; it is
-    injectable so a broken kernel can be shown to trip the suite.
+    ``basis_fn`` defaults to ``linalg.orthonormal_basis``, the kernel
+    training uses; :func:`run_all_suites` also runs its fallback,
+    ``linalg.modified_gram_schmidt``.  It is injectable so a broken
+    kernel can be shown to trip the suite.  The result is named after
+    the kernel, ``basis_adversarial[<kernel>]``.
     """
-    basis = basis_fn or linalg.modified_gram_schmidt
+    basis = basis_fn or linalg.orthonormal_basis
+    name = f"basis_adversarial[{getattr(basis, '__name__', 'kernel')}]"
     rng = np.random.default_rng(seed)
     worst_orth = 0.0
     worst_resid = 0.0
@@ -403,7 +407,7 @@ def suite_basis_adversarial(
                     )
         if problem is not None:
             return SuiteResult(
-                name="basis_adversarial",
+                name=name,
                 passed=False,
                 checked=i + 1,
                 detail=f"{family} instance {i}: {problem}",
@@ -415,7 +419,7 @@ def suite_basis_adversarial(
                 },
             )
     return SuiteResult(
-        "basis_adversarial",
+        name,
         True,
         n_instances,
         f"max |B'B - I| = {worst_orth:.3e}, max column residual = "
@@ -537,6 +541,7 @@ def run_all_suites(solve_fn: Callable = None) -> list[SuiteResult]:
         suite_decomposition_zero_sum(),
         suite_gradient_check(),
         suite_constraint_feasibility(solve_fn=solve_fn),
-        suite_basis_adversarial(),
+        suite_basis_adversarial(basis_fn=linalg.orthonormal_basis),
+        suite_basis_adversarial(basis_fn=linalg.modified_gram_schmidt),
         suite_gem_exact(),
     ]

@@ -153,6 +153,28 @@ class TestConfigHandling:
         assert f"config key {key!r}" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize(
+        "scenario, tasks", [("split_classes", 2), ("data_incremental", 7)]
+    )
+    def test_csv_task_count_exit_2_before_any_output(self, tmp_path, capsys,
+                                                      scenario, tasks):
+        # 6 rows of 3 classes: 3 classes do not split into 2 tasks, and
+        # the 3 training rows do not shard into 7
+        csv_path = tmp_path / "d.csv"
+        csv_path.write_text(
+            "x0,label\n0.1,0\n0.2,0\n1.1,1\n1.2,1\n2.1,2\n2.2,2\n", encoding="utf-8"
+        )
+        code = cli.main([
+            "run", f"out_dir={tmp_path / 'out'}", "data.source=csv",
+            f"data.csv_path={csv_path}", "data.label_column=label",
+            f"data.scenario={scenario}", f"data.tasks={tasks}",
+        ])
+        assert code == 2
+        captured = capsys.readouterr()
+        assert "config key 'data.tasks'" in captured.err
+        assert captured.out == ""
+        assert not (tmp_path / "out").exists()
+
     # one invalid value per TrainConfig field the config sets; a field
     # added without a key or a rule fails here
     INVALID_SETTING = {
@@ -377,6 +399,9 @@ class TestCmdVerify:
         out = capsys.readouterr().out
         assert out.count("PASS") >= 4
         assert "FAIL" not in out
+        # both basis kernels training uses, each on its own line
+        assert "PASS basis_adversarial[orthonormal_basis]" in out
+        assert "PASS basis_adversarial[modified_gram_schmidt]" in out
 
     def test_mutated_solver_detected(self, monkeypatch, tmp_path, capsys):
         # flip the sign of the reflect-branch correction: the oracle

@@ -206,7 +206,7 @@ class TestBasisContract:
                 assert np.array_equal(X, X0)
 
     def test_adversarial_suite_passes(self):
-        res = verify.suite_basis_adversarial()
+        res = verify.suite_basis_adversarial(basis_fn=linalg.modified_gram_schmidt)
         assert res.passed, res.detail
 
     def test_adversarial_suite_trips_on_broken_kernels(self):
@@ -232,6 +232,131 @@ class TestBasisContract:
             res = verify.suite_basis_adversarial(basis_fn=broken)
             assert not res.passed
             assert res.failing_case is not None
+
+
+def takes_the_qr(X, rel_tol=linalg.DEFAULT_RANK_TOL):
+    """Whether ``orthonormal_basis`` returned the QR fallback's basis
+    (bit for bit); the Gram route picks other directions in the span."""
+    return np.array_equal(
+        linalg.orthonormal_basis(X, rel_tol), linalg.modified_gram_schmidt(X, rel_tol)
+    )
+
+
+class TestOrthonormalBasis:
+    """The Gram route and when it hands over to the Householder QR."""
+
+    def test_adversarial_suite_passes(self):
+        res = verify.suite_basis_adversarial(basis_fn=linalg.orthonormal_basis)
+        assert res.passed, res.detail
+        assert res.name == "basis_adversarial[orthonormal_basis]"
+
+    def test_one_pass_only_fails_the_suite(self, monkeypatch):
+        # with the second pass switched off, one Gram pass on a graded
+        # triangle above the conditioning floor leaves |B'B - I| ~ 1e-9
+        monkeypatch.setattr(linalg, "ORTH_TOL", np.inf)
+        res = verify.suite_basis_adversarial(basis_fn=linalg.orthonormal_basis)
+        assert not res.passed
+        assert "|B'B - I|" in res.detail
+
+    def test_well_conditioned_input_takes_the_gram_route(self):
+        rng = np.random.default_rng(140)
+        for _ in range(50):
+            n, m = int(rng.integers(20, 300)), int(rng.integers(1, 19))
+            X = rng.standard_normal((n, m)) * 10.0 ** rng.uniform(-1.0, 1.0, size=m)
+            B = linalg.orthonormal_basis(X)
+            assert not takes_the_qr(X)
+            assert B.shape == (n, m)
+            assert np.abs(B.T @ B - np.eye(m)).max() <= 1e-12
+            resid = np.linalg.norm(X - B @ (B.T @ X), axis=0).max()
+            assert resid <= 1e-12 * np.linalg.norm(X, axis=0).max()
+
+    def test_orthonormal_just_below_the_second_pass_threshold(self):
+        # one small singular value, kappa^2 in 1e2..1e4, so a single pass
+        # is kept only at the low end; a threshold set for less than the
+        # measured one-pass loss leaves |B'B - I| above 1e-12 here
+        rng = np.random.default_rng(141)
+        for _ in range(200):
+            n, m = int(rng.integers(19, 400)), int(rng.integers(8, 19))
+            U = np.linalg.qr(rng.standard_normal((n, m)))[0]
+            W = np.linalg.qr(rng.standard_normal((m, m)))[0]
+            s = np.ones(m)
+            s[-1] = 10.0 ** -rng.uniform(1.0, 2.0)
+            B = linalg.orthonormal_basis(U @ (s[:, None] * W))
+            assert np.abs(B.T @ B - np.eye(m)).max() <= 1e-12
+
+    def test_near_collinear_columns_take_the_qr(self):
+        rng = np.random.default_rng(142)
+        for _ in range(50):
+            n, m = int(rng.integers(20, 300)), int(rng.integers(2, 12))
+            spread = 10.0 ** rng.uniform(-12.0, -5.0)
+            X = rng.standard_normal(n)[:, None] + spread * rng.standard_normal((n, m))
+            assert takes_the_qr(X)
+
+    def test_rank_matches_the_qr_on_near_collinear_memories(self):
+        # the suite's family, spread 1e-12..1 and scales 1e-3..1e3, meets
+        # both routes; either way the rank is the QR's
+        rng = np.random.default_rng(148)
+        routes = set()
+        for _ in range(300):
+            X = verify._near_collinear_bundle(rng).specific[:, :-1]
+            assert linalg.orthonormal_basis(X).shape == linalg.modified_gram_schmidt(X).shape
+            routes.add(takes_the_qr(X))
+        assert routes == {True, False}
+
+    def test_dependent_or_zero_columns_take_the_qr(self):
+        rng = np.random.default_rng(143)
+        a, b, c = rng.standard_normal((3, 12))
+        for X in (
+            np.column_stack([a, b, 2.0 * a - 3.0 * b, c]),
+            np.column_stack([a, np.zeros(12), b]),
+            np.column_stack([a, a + 1e-6 * b]),
+            rng.standard_normal((3, 5)),  # wide
+            np.zeros((4, 3)),
+        ):
+            assert takes_the_qr(X)
+            assert linalg.orthonormal_basis(X).shape == linalg.modified_gram_schmidt(X).shape
+
+    def test_rank_decided_by_rel_tol_takes_the_qr(self):
+        # sigma_min / sigma_max about 5e-4 clears the 1e-4 floor, so the
+        # default keeps both columns; at rel_tol 1e-3 the QR drops the
+        # second, and the Gram route, which keeps every column, must not run
+        rng = np.random.default_rng(144)
+        a, b = rng.standard_normal((2, 30))
+        b -= (a @ b) / (a @ a) * a
+        X = np.column_stack([a, a + 5e-4 * np.linalg.norm(a) / np.linalg.norm(b) * b])
+        assert not takes_the_qr(X)
+        assert linalg.orthonormal_basis(X).shape == (30, 2)
+        assert takes_the_qr(X, rel_tol=1e-3)
+        assert linalg.orthonormal_basis(X, rel_tol=1e-3).shape == (30, 1)
+
+    def test_gram_underflow_takes_the_qr(self):
+        # entries near 1e-160 square to subnormals in X'X, which hold too
+        # few bits for the Gram route
+        X = np.random.default_rng(145).standard_normal((40, 5)) * 1e-160
+        B = linalg.orthonormal_basis(X)
+        assert takes_the_qr(X)
+        assert B.shape == (40, 5)
+        assert np.abs(B.T @ B - np.eye(5)).max() <= 1e-12
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_input_raises(self, bad):
+        X = np.random.default_rng(146).standard_normal((6, 3))
+        X[2, 1] = bad
+        with pytest.raises(ValueError, match="finite"):
+            linalg.orthonormal_basis(X)
+
+    def test_empty_input_and_bad_tolerance(self):
+        assert linalg.orthonormal_basis(np.zeros((4, 0))).shape == (4, 0)
+        with pytest.raises(ValueError):
+            linalg.orthonormal_basis(np.eye(2), rel_tol=0.0)
+
+    def test_does_not_mutate_input(self):
+        rng = np.random.default_rng(147)
+        for order in ("C", "F"):
+            X = np.array(rng.standard_normal((60, 4)), order=order)
+            X0 = X.copy()
+            linalg.orthonormal_basis(X)
+            assert np.array_equal(X, X0)
 
 
 class TestGramPca:

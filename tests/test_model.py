@@ -70,6 +70,12 @@ class TestForward:
         with pytest.raises(ValueError, match="layer sizes"):
             MlpModel(sizes, seed=0)
 
+    @pytest.mark.parametrize("seed", [2.5, True, -1])
+    def test_non_integer_or_negative_seed_rejected(self, seed):
+        # 2.5 and True would otherwise seed as 2 and 1; -1 fails inside numpy
+        with pytest.raises(ValueError, match="seed"):
+            MlpModel([2, 2], seed=seed)
+
     def test_width_mismatch_rejected(self):
         model = MlpModel([3, 2], seed=0)
         with pytest.raises(ValueError):

@@ -161,6 +161,29 @@ class TestRelaxBasis:
             bundle = verify._near_collinear_bundle(rng)
             assert relax_basis(bundle.specific).shape[1] < len(bundle.old_grads)
 
+    @pytest.mark.parametrize(
+        "suite", [verify.suite_solver_vs_oracle, verify.suite_constraint_feasibility]
+    )
+    def test_solver_suites_exercise_both_basis_routes(self, monkeypatch, suite):
+        # relax_basis calls orthonormal_basis, which hands ill-conditioned
+        # columns to modified_gram_schmidt: count both calls
+        calls = {"basis": 0, "qr": 0}
+
+        def counting(name, fn):
+            def counted(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+            return counted
+
+        monkeypatch.setattr(linalg, "orthonormal_basis",
+                            counting("basis", linalg.orthonormal_basis))
+        monkeypatch.setattr(linalg, "modified_gram_schmidt",
+                            counting("qr", linalg.modified_gram_schmidt))
+        res = suite()
+        assert res.passed, res.detail
+        assert calls["basis"] == res.checked
+        assert 0 < calls["qr"] < calls["basis"]
+
     def test_same_span_gives_same_update(self):
         rng = np.random.default_rng(308)
         for _ in range(20):
