@@ -2,32 +2,31 @@
 Gram-matrix PCA (through LAPACK's symmetric eigensolver), and
 matrix-free null-space projection.
 
-Two kernels build an orthonormal basis of a column collection:
+Two routes build an orthonormal basis of a column collection:
 
-* ``orthonormal_basis`` is the one training uses.  It works through the
-  small Gram matrix ``X'X`` (CholeskyQR with an eigensolver in place of
-  the Cholesky factor, run twice when needed; Fukaya et al., 2014): two
-  tall products and one small ``eigh`` per pass, where the QR below
-  makes a Householder sweep over the rows.  It keeps every column, so it
-  runs only where ``sigma_min / sigma_max`` of ``X``, read off the
-  eigenvalues, exceeds ``GRAM_RATIO_FLOOR`` (or ``rel_tol``, if larger).
-  There every Gram-Schmidt residual is at least ``sigma_min``, so the QR
-  would keep every column too.  The floor also holds the Gram route to
-  the bars of ``verify.suite_basis_adversarial``: its span error is
-  bounded by about ``eps * kappa`` of the largest column, 2e-12 at the
-  floor (measured: 1.4e-15), and one pass leaves ``|B'B - I|`` below
-  about 1.4e-7, from which the second pass reaches working precision.
-  Every other input (rank deficient or nearly so, wide, empty,
-  non-finite, or so small that its Gram matrix underflows) goes to
-  ``modified_gram_schmidt`` unchanged.
-* ``modified_gram_schmidt`` keeps the Gram-Schmidt contract (columns
-  taken left to right, a column dropped when its residual against the
-  kept ones falls below ``rel_tol`` times the largest column norm) but
-  computes it with one LAPACK Householder QR of the input whose
-  reflectors are accumulated in compact WY form: one Gram matrix of the
-  reflectors, one small triangular solve and one matrix product; no
-  Python loop runs over the rows.  It is accurate whatever the
-  conditioning.
+* The Gram route works through the small Gram matrix ``X'X`` (CholeskyQR
+  with an eigensolver in place of the Cholesky factor, run twice when
+  needed; Fukaya et al., 2014): one small ``eigh``, then ``_map_back``,
+  two tall products per pass where a QR makes a Householder sweep over
+  the rows.  ``orthonormal_basis``, the kernel training uses, maps back
+  every eigenvector, so it runs only where ``sigma_min / sigma_max`` of
+  ``X``, read off the eigenvalues, exceeds ``GRAM_RATIO_FLOOR`` (or
+  ``rel_tol``, if larger).  There every Gram-Schmidt residual is at
+  least ``sigma_min``, so the QR would keep every column too.  The floor
+  also holds the route to the bars of ``verify.suite_basis_adversarial``:
+  its span error is bounded by about ``eps * kappa`` of the largest
+  column, 2e-12 at the floor (measured: 1.4e-15), and one pass leaves
+  ``|B'B - I|`` below about 1.4e-7, from which the second pass reaches
+  working precision.  ``gram_pca`` maps back only the top ``K``
+  eigenvectors, the principal directions.
+* ``modified_gram_schmidt`` takes every other input of
+  ``orthonormal_basis`` (rank deficient or nearly so, wide, empty,
+  non-finite, or so small that its Gram matrix underflows).  It keeps
+  the Gram-Schmidt contract (columns taken left to right, a column
+  dropped when its residual against the kept ones falls below
+  ``rel_tol`` times the largest column norm) but computes it with
+  numpy's Householder QR of the input; no Python loop runs over the
+  rows.  It is accurate whatever the conditioning.
 
 All kernels work on plain float64 numpy arrays.  Vectors are 1-D arrays;
 bases and column collections are 2-D arrays whose columns are the vectors
@@ -58,6 +57,7 @@ _EPS = float(np.finfo(np.float64).eps)
 # a smallest eigenvalue below this is too close to underflow for the
 # Gram matrix to hold it to working precision
 _GRAM_UNDERFLOW = float(np.finfo(np.float64).tiny) / _EPS
+_OVERFLOW = "squared column norms overflow float64; rescale the input"
 
 
 def _as_matrix(X) -> np.ndarray:
@@ -81,33 +81,29 @@ def modified_gram_schmidt(X, rel_tol: float = DEFAULT_RANK_TOL) -> np.ndarray:
     ``rel_tol`` times the largest input column norm.  The basis is
     defined up to the signs of its columns.
 
-    Algorithm (one Householder QR, its reflectors accumulated in compact
-    WY form):
+    Algorithm (one Householder QR, numpy's reduced ``Q, R = qr(X)``):
 
-    1. LAPACK ``geqrf`` through ``qr(X, "raw")`` gives ``R`` and the
-       reflectors ``H_i = I - tau_i v_i v_i'``.  ``|R[j, j]|`` is the
-       Gram-Schmidt residual of column j against columns ``0..j-1``, and
-       the column norms of ``R`` equal those of ``X``.
+    1. ``|R[j, j]|`` is the Gram-Schmidt residual of column j against
+       columns ``0..j-1``, and the column norms of ``R`` equal those of
+       ``X``.
     2. The first column whose residual is below the threshold is
        dropped and the small ``R`` without it is refactored, so later
        residuals are taken against the kept columns only; repeat.  At
-       most ``n_rows`` columns can be kept.  ``C`` is an orthonormal
-       basis of ``R[:, kept]``, in order: the leading columns of the
-       identity when only trailing columns were dropped, else the Q of
-       a QR of that small matrix.
-    3. ``Q = H_0 ... H_{r-1} = I - V T V'`` with
-       ``T^-1 = striu(V'V) + diag(1/tau)`` (the UT transform), so
-       ``B = Q [C; 0] = [C; 0] - V (T V[:r]' C)``: one Gram matrix of the
-       reflectors, one small triangular solve and one GEMM on ``V``.
+       most ``n_rows`` columns can be kept.
+    3. When only trailing columns were dropped, ``B`` is the leading
+       columns of ``Q``; else ``B = Q C`` with ``C`` the Q of a QR of
+       ``R[:, kept]``.
 
     ``B`` is orthonormal and spans the kept columns to working precision
     whatever the conditioning of ``X``, because no triangular factor is
     inverted against ``X``.
 
-    Returns a C-contiguous ``(n_rows, k)`` matrix ``B`` with orthonormal
-    columns spanning the kept columns.  Empty or all-zero input yields
-    a zero-column matrix.  ``X`` is never modified.  Column norms must
-    stay below the float64 overflow threshold (entries below ~1e150).
+    Returns an ``(n_rows, k)`` matrix ``B`` with orthonormal columns
+    spanning the kept columns.  Empty or all-zero input yields a
+    zero-column matrix.  ``X`` is never modified.  Raises ``ValueError``
+    on non-finite input, and on squared column norms that overflow
+    float64 (entries above about 1e150), where the drop threshold could
+    not be formed.
     """
     if rel_tol <= 0.0:
         raise ValueError("rel_tol must be positive")
@@ -118,11 +114,17 @@ def modified_gram_schmidt(X, rel_tol: float = DEFAULT_RANK_TOL) -> np.ndarray:
     if not np.isfinite(X).all():
         raise ValueError("input columns must be finite")
 
-    h, tau = np.linalg.qr(X, mode="raw")
-    F = h.T  # R on and above the diagonal, the reflectors below it
-    r = tau.shape[0]
-    R = np.triu(F[:r])
+    # numpy's reduced Q (LAPACK orgqr) trades speed on tall inputs for
+    # less code than accumulating the reflectors by hand.  On the 18-column
+    # inputs a variant-f sequence (T=20, 400 per class) sends here, at 1
+    # BLAS thread, it took 0.68x the hand-built time at 303 rows, 1.27x at
+    # 3,300 and 2.3x at 10,100.  That sequence sends 25 of its 5,472 bases
+    # here (17 at 303 rows, 4 each at 3,300 and 10,100): about +18 ms on a
+    # 5-8 s run, +25 ms at 2 threads
+    Q, R = np.linalg.qr(X)
     max_norm = float(np.sqrt((R * R).sum(axis=0).max()))
+    if not np.isfinite(max_norm):
+        raise ValueError(_OVERFLOW)
     if max_norm == 0.0:
         return empty_basis(n_rows)
     drop_below = rel_tol * max_norm
@@ -150,26 +152,33 @@ def modified_gram_schmidt(X, rel_tol: float = DEFAULT_RANK_TOL) -> np.ndarray:
     if k == 0:
         return empty_basis(n_rows)
     kept = kept[:k]
-    C = np.eye(r, k) if kept[-1] == k - 1 else np.linalg.qr(R[:, kept])[0]
+    if kept[-1] == k - 1:
+        return Q[:, :k]
+    return Q @ np.linalg.qr(R[:, kept])[0]
 
-    # the basis comes from the reflectors by hand rather than from numpy's
-    # reduced QR (LAPACK orgqr), which forms all r columns of Q first.
-    # Under this same drop rule, on 18 columns with 1 BLAS thread (Xeon),
-    # orgqr was 36-44% slower at 10,100 and 13,703 rows (the widest layer
-    # and the whole 32-100-100-3 vector) and 19-25% slower at 2,000-5,000
-    # rows; it won only on short inputs (about 30% at 303 rows, where
-    # either takes about 0.1 ms).
-    # V is unit lower trapezoidal; a reflector with tau = 0 is the
-    # identity and gets a zero column
-    V = F[:, :r]
-    live = tau != 0.0
-    V[:r] -= R[:, :r]
-    np.fill_diagonal(V[:r], live)
-    T_inv = np.triu(V.T @ V, 1)
-    np.fill_diagonal(T_inv, 1.0 / np.where(live, tau, 1.0))
-    Y = np.linalg.solve(T_inv, V[:r].T @ C)
-    B = V @ -Y
-    B[:r] += C
+
+def _map_back(X, lam, V) -> np.ndarray:
+    """``B = X V diag(lam)^-1/2`` for eigenpairs ``lam, V`` of ``X'X``,
+    with a second, order-preserving pass when one is not enough.
+
+    One pass leaves ``|B'B - I|`` at about ``eps * kappa^2``, with
+    ``kappa^2 = max(lam) / min(lam)``.  When ``ONE_PASS_LOSS * eps *
+    kappa^2`` exceeds ``ORTH_TOL``, the pass runs once more on ``B``:
+    ``B (B'B)^-1/2 = B V2 diag(lam2)^-1/2 V2'`` from ``lam2, V2 =
+    eigh(B'B)`` (Loewdin).  ``B'B`` is then close to ``I``, so this pass
+    reaches working precision and moves every column by about
+    ``|B'B - I|``: the columns keep their order.
+
+    ``B`` is formed as ``(W' X')'`` so that it is F-ordered, its columns
+    contiguous: on 303-13,703 x 18 inputs that made the kernel 10-20%
+    and the solver's projections through ``B`` 20-40% faster than C
+    order.
+    """
+    B = ((V / np.sqrt(lam)).T @ X.T).T
+    if ONE_PASS_LOSS * _EPS * lam.max() > ORTH_TOL * lam.min():
+        lam, V = np.linalg.eigh(B.T @ B)
+        inv_sqrt = (V / np.sqrt(lam)) @ V.T  # (B'B)^-1/2
+        B = (inv_sqrt.T @ B.T).T
     return B
 
 
@@ -182,17 +191,14 @@ def orthonormal_basis(X, rel_tol: float = DEFAULT_RANK_TOL) -> np.ndarray:
        ``max(GRAM_RATIO_FLOOR, rel_tol)``, the eigenvalues are not finite
        (``eigh`` raises on non-finite input), or ``lam_min`` is near
        underflow, return ``modified_gram_schmidt(X, rel_tol)``: its rank
-       contract and its ``ValueError`` on non-finite input hold as they
-       are.
-    3. Otherwise ``B = X V diag(lam)^-1/2``: every column is kept, as the
-       QR would keep it, and ``|B'B - I|`` is about ``eps * kappa^2``.
-    4. When ``ONE_PASS_LOSS * eps * kappa^2`` exceeds ``ORTH_TOL``, run
-       step 3 once more on ``B``.  Its ``kappa`` is then within about
-       1e-7 of 1, so the second pass leaves ``|B'B - I|`` near ``eps``.
+       contract and its ``ValueError`` on non-finite or overflowing input
+       hold as they are.
+    3. Otherwise map every eigenvector back through ``X`` with
+       :func:`_map_back`: every column is kept, as the QR would keep it.
 
     Returns an ``(n_rows, k)`` matrix with orthonormal columns spanning
     those of ``X``; the Gram route picks its own directions within that
-    span and returns them F-ordered.  ``X`` is never modified.
+    span.  ``X`` is never modified.
     """
     X = _as_matrix(X)
     if X.shape[1] == 0 or rel_tol <= 0.0:
@@ -205,24 +211,19 @@ def orthonormal_basis(X, rel_tol: float = DEFAULT_RANK_TOL) -> np.ndarray:
     floor = max(GRAM_RATIO_FLOOR, rel_tol) ** 2 * lam[-1]
     if not lam[0] > max(floor, _GRAM_UNDERFLOW):
         return modified_gram_schmidt(X, rel_tol)
-    # B is formed as (W' X')' so that it is F-ordered, its columns
-    # contiguous: on 303-13,703 x 18 inputs that made the kernel 10-20%
-    # and the solver's projections through B 20-40% faster than C order
-    B = ((V / np.sqrt(lam)).T @ X.T).T
-    if ONE_PASS_LOSS * _EPS * lam[-1] > ORTH_TOL * lam[0]:
-        lam, V = np.linalg.eigh(B.T @ B)
-        B = ((V / np.sqrt(lam)).T @ B.T).T
-    return B
+    return _map_back(X, lam, V)
 
 
-def gram_pca(G, K: int, rel_tol: float = DEFAULT_RANK_TOL) -> np.ndarray:
+def gram_pca(G, K: int) -> np.ndarray:
     """Top-``K`` orthonormal principal directions of the column space of ``G``.
 
-    Works through the small Gram matrix ``G^T G``: eigendecompose it with
-    ``numpy.linalg.eigh`` and map the leading eigenvectors back through
-    ``G``.  Eigenvalues at or below ``rel_tol`` times the largest are
-    treated as rank deficiency, so the result has
-    ``min(K, numerical rank of G)`` columns, each defined up to its sign.
+    Eigendecomposes the small Gram matrix ``G'G`` and keeps its top
+    ``min(K, #lam > DEFAULT_RANK_TOL * lam_max)`` eigenpairs, dominant
+    first; eigenvalues at or below the cut-off are rank deficiency.
+    :func:`_map_back` maps them back through ``G``, so the result has
+    ``min(K, numerical rank of G)`` columns, each defined up to its
+    sign.  Raises ``ValueError`` on non-finite input and on a Gram
+    matrix that overflows float64.
     """
     if K < 1:
         raise ValueError("K must be at least 1")
@@ -232,32 +233,17 @@ def gram_pca(G, K: int, rel_tol: float = DEFAULT_RANK_TOL) -> np.ndarray:
         return empty_basis(n_rows)
     if not np.isfinite(G).all():
         raise ValueError("input columns must be finite")
+    gram = G.T @ G
+    if not np.isfinite(gram).all():
+        raise ValueError(_OVERFLOW)
 
-    eigenvalues, V = np.linalg.eigh(G.T @ G)
+    lam, V = np.linalg.eigh(gram)
     # eigh sorts ascending; take the principal directions first
-    eigenvalues, V = eigenvalues[::-1], V[:, ::-1]
-    lam_max = float(eigenvalues[0])
-    if lam_max <= 0.0:
+    lam, V = lam[::-1], V[:, ::-1]
+    if not lam[0] > 0.0:
         return empty_basis(n_rows)
-
-    keep = min(K, n_cols)
-    cols: list[np.ndarray] = []
-    for k in range(keep):
-        lam = float(eigenvalues[k])
-        if lam <= rel_tol * lam_max:
-            break
-        u = G @ V[:, k] / np.sqrt(lam)
-        # cheap re-orthogonalization guards against clustered eigenvalues
-        for b in cols:
-            u -= (b @ u) * b
-        norm = float(np.linalg.norm(u))
-        if norm == 0.0:
-            break
-        u /= norm
-        cols.append(u)
-    if not cols:
-        return empty_basis(n_rows)
-    return np.column_stack(cols)
+    keep = min(K, int(np.count_nonzero(lam > DEFAULT_RANK_TOL * lam[0])))
+    return _map_back(G, lam[:keep], V[:, :keep])
 
 
 def apply_projection(B, v) -> np.ndarray:

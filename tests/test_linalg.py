@@ -7,7 +7,7 @@ reconstruction identities, which share no code with the implementation.
 import numpy as np
 import pytest
 
-from gradecomp import linalg, verify
+from gradecomp import linalg, solver, verify
 
 RT2 = np.sqrt(2.0)
 
@@ -188,7 +188,7 @@ class TestBasisContract:
             assert resid <= 1e-12 * np.linalg.norm(X, axis=0).max()
             assert_gram_schmidt_of(B, X)
 
-    def test_zero_leading_rows_fix_signs_further_down(self):
+    def test_zero_leading_rows_keep_the_gram_schmidt_basis(self):
         rng = np.random.default_rng(128)
         X = np.vstack([np.zeros((3, 4)), -np.abs(rng.standard_normal((8, 4)))])
         B = linalg.modified_gram_schmidt(X)
@@ -409,6 +409,48 @@ class TestGramPca:
     def test_rejects_bad_k(self):
         with pytest.raises(ValueError):
             linalg.gram_pca(np.eye(3), K=0)
+
+    def test_second_pass_keeps_order_and_span(self, monkeypatch):
+        # zero-sum columns whose kept eigenvalues fall to 1e-9 of the
+        # largest: one pass loses orthogonality, the second restores it
+        # without reordering the principal directions
+        rng = np.random.default_rng(111)
+        for _ in range(50):
+            n, m = int(rng.integers(20, 400)), int(rng.integers(3, 19))
+            U = np.linalg.qr(rng.standard_normal((n, m - 1)))[0]
+            # orthonormal rows that each sum to zero
+            W = np.linalg.qr(np.column_stack([np.ones(m), rng.standard_normal((m, m - 1))]))[0]
+            s = np.sqrt(np.logspace(0.0, -9.0, m - 1))
+            G = U @ (s[:, None] * W[:, 1:].T)  # its own SVD
+            B = linalg.gram_pca(G, K=m)
+            assert B.shape == (n, m - 1)
+            assert np.abs(B.T @ B - np.eye(m - 1)).max() <= 1e-12
+            assert abs(B[:, 0] @ U[:, 0]) >= 1.0 - 1e-12
+            assert np.abs(B - U @ (U.T @ B)).max() <= 1e-8
+            assert np.abs(U - B @ (B.T @ U)).max() <= 1e-8
+        monkeypatch.setattr(linalg, "ORTH_TOL", np.inf)
+        B = linalg.gram_pca(G, K=m)
+        assert np.abs(B.T @ B - np.eye(m - 1)).max() > 1e-12
+
+
+@pytest.mark.parametrize(
+    "kernel",
+    [
+        linalg.modified_gram_schmidt,
+        linalg.orthonormal_basis,
+        lambda X: linalg.gram_pca(X, K=2),
+        solver.relax_basis,
+        lambda X: solver.relax_basis(X, 2),
+    ],
+    ids=["modified_gram_schmidt", "orthonormal_basis", "gram_pca", "relax_basis",
+         "relax_basis_k2"],
+)
+def test_overflowing_column_norms_raise(kernel):
+    # finite entries near 1e160 square past the float64 range; a drop
+    # threshold of inf would silently discard every constraint
+    X = np.random.default_rng(112).standard_normal((40, 5)) * 1e160
+    with np.errstate(over="ignore"), pytest.raises(ValueError, match="overflow"):
+        kernel(X)
 
 
 class TestApplyProjection:
