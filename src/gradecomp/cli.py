@@ -161,6 +161,13 @@ def _apply_override(config: dict, assignment: str) -> None:
 
 
 def load_config(path: str | None, overrides: list[str]) -> dict:
+    return _load_config(path, overrides)[0]
+
+
+def _load_config(path: str | None, overrides: list[str]):
+    """The checked config, and the ``(train, test)`` pair of its CSV when
+    ``data.source`` is ``"csv"`` (else ``None``): checking reads the file,
+    so the run uses what was read instead of reading it again."""
     config = copy.deepcopy(DEFAULT_CONFIG)
     if path is not None:
         try:
@@ -175,8 +182,7 @@ def load_config(path: str | None, overrides: list[str]) -> dict:
         config = _merge(config, user)
     for assignment in overrides:
         _apply_override(config, assignment)
-    _validate(config)
-    return config
+    return config, _validate(config)
 
 
 def _expect(cond: bool, key: str, message: str) -> None:
@@ -209,7 +215,9 @@ def _check_k(k, key: str) -> None:
     _ask(key, trainer.variant_from_name, "e", k=k)
 
 
-def _validate(config: dict) -> None:
+def _validate(config: dict):
+    """Raise ``ConfigError`` on the first invalid key; return the CSV's
+    ``(train, test)`` pair, read to check ``data.tasks``, or ``None``."""
     _ask("seed", trainer.TrainConfig, seed=config["seed"])
     seeds = config["seeds"]
     if seeds is not None:
@@ -266,6 +274,8 @@ def _validate(config: dict) -> None:
         train, test = tasks.load_csv_dataset(data["csv_path"], data["label_column"])
         n_classes = np.unique(np.concatenate([train.labels, test.labels])).size
         _check_task_count(data, n_classes, len(train))
+        return train, test
+    return None
 
 
 def _check_task_count(data: dict, n_classes: int, n_train: int) -> None:
@@ -286,9 +296,13 @@ def build_variant(name: str, pca_k: int) -> trainer.MethodVariant:
     return trainer.variant_from_name(name, k=pca_k)
 
 
-def build_stream(data_cfg: dict, seed: int) -> tasks.TaskStream:
+def build_stream(data_cfg: dict, seed: int, csv_data=None) -> tasks.TaskStream:
+    """The task stream of ``data_cfg``; ``csv_data``, the ``(train, test)``
+    pair of a CSV source already read, saves reading it again."""
     if data_cfg["source"] == "csv":
-        base = tasks.load_csv_dataset(data_cfg["csv_path"], data_cfg["label_column"])
+        base = csv_data or tasks.load_csv_dataset(
+            data_cfg["csv_path"], data_cfg["label_column"]
+        )
     else:
         base = tasks.gen_synthetic_base(
             classes=data_cfg["classes"],
@@ -363,8 +377,7 @@ def write_run_log(path: Path, log: list[trainer.StepTrace]) -> None:
     ``timing`` block of ``summary.json``."""
     with open(path, "w", encoding="utf-8") as fh:
         for trace in log:
-            record = dataclasses.asdict(trace)
-            del record["solver_seconds"]
+            record = {k: v for k, v in vars(trace).items() if k != "solver_seconds"}
             fh.write(json.dumps(record, sort_keys=True) + "\n")
 
 
@@ -373,10 +386,10 @@ def _now() -> str:
 
 
 def run_one_variant(
-    config: dict, variant_name: str, seed: int, out_dir: Path
+    config: dict, variant_name: str, seed: int, out_dir: Path, csv_data=None
 ) -> dict:
     variant = build_variant(variant_name, config["pca_k"])
-    stream = build_stream(config["data"], seed)
+    stream = build_stream(config["data"], seed, csv_data)
     cfg = build_train_config(config, variant, seed)
 
     started = _now()
@@ -429,22 +442,23 @@ def run_one_variant(
     return summary
 
 
-def _load_args_config(args) -> dict:
-    """Load the config named by ``args``; a first positional that looks
-    like ``key=value`` and names no file is the first override."""
+def _load_args_config(args):
+    """:func:`_load_config` of the config named by ``args``; a first
+    positional that looks like ``key=value`` and names no file is the
+    first override."""
     path, overrides = args.config, args.overrides
     if path is not None and "=" in path and not Path(path).is_file():
         path, overrides = None, [path, *overrides]
-    return load_config(path, overrides)
+    return _load_config(path, overrides)
 
 
 def cmd_run(args) -> int:
-    config = _load_args_config(args)
+    config, csv_data = _load_args_config(args)
     out_root = Path(config["out_dir"])
     print(f"run: {len(config['variants'])} variant(s), seed {config['seed']}")
     for name in config["variants"]:
         out_dir = out_root / name.replace("+", "_")
-        summary = run_one_variant(config, name, config["seed"], out_dir)
+        summary = run_one_variant(config, name, config["seed"], out_dir, csv_data)
         bwt_s = "n/a" if summary["bwt"] is None else f"{summary['bwt']:+.4f}"
         print(
             f"  {name:>14}: acc {summary['acc']:.4f}  bwt {bwt_s}  "
@@ -454,7 +468,7 @@ def cmd_run(args) -> int:
 
 
 def cmd_sweep_k(args) -> int:
-    config = _load_args_config(args)
+    config, csv_data = _load_args_config(args)
     sweep = config["sweep"]
     variant_name = sweep["variant"].lower()
     k_values = sweep["k_values"]
@@ -490,7 +504,7 @@ def cmd_sweep_k(args) -> int:
             cfg_k = copy.deepcopy(config)
             cfg_k["pca_k"] = int(k)
             out_dir = out_root / f"k{k}" / f"seed{seed}"
-            summary = run_one_variant(cfg_k, variant_name, seed, out_dir)
+            summary = run_one_variant(cfg_k, variant_name, seed, out_dir, csv_data)
             accs.append(summary["acc"])
             bwts.append(summary["bwt"])
         rows.append((k, float(np.mean(accs)), float(np.mean(bwts))))

@@ -57,6 +57,8 @@ _EPS = float(np.finfo(np.float64).eps)
 # a smallest eigenvalue below this is too close to underflow for the
 # Gram matrix to hold it to working precision
 _GRAM_UNDERFLOW = float(np.finfo(np.float64).tiny) / _EPS
+# a column norm below this has a square too close to underflow to hold it
+_NORM_UNDERFLOW = float(np.sqrt(_GRAM_UNDERFLOW))
 _OVERFLOW = "squared column norms overflow float64; rescale the input"
 
 
@@ -71,6 +73,16 @@ def _as_matrix(X) -> np.ndarray:
 
 def empty_basis(n_rows: int) -> np.ndarray:
     return np.zeros((n_rows, 0))
+
+
+def _scaled_up(X: np.ndarray) -> np.ndarray | None:
+    """``X`` times the power of two that brings its largest magnitude into
+    ``[0.5, 1)``: exact, so the span is that of ``X``.  ``None`` when
+    ``X`` is all zero."""
+    peak = float(np.abs(X).max())
+    if peak == 0.0:
+        return None
+    return np.ldexp(X, -np.frexp(peak)[1])
 
 
 def modified_gram_schmidt(X, rel_tol: float = DEFAULT_RANK_TOL) -> np.ndarray:
@@ -100,10 +112,11 @@ def modified_gram_schmidt(X, rel_tol: float = DEFAULT_RANK_TOL) -> np.ndarray:
 
     Returns an ``(n_rows, k)`` matrix ``B`` with orthonormal columns
     spanning the kept columns.  Empty or all-zero input yields a
-    zero-column matrix.  ``X`` is never modified.  Raises ``ValueError``
-    on non-finite input, and on squared column norms that overflow
-    float64 (entries above about 1e150), where the drop threshold could
-    not be formed.
+    zero-column matrix; nonzero input whose squared column norms
+    underflow is first scaled up by a power of two, which keeps its span.
+    ``X`` is never modified.  Raises ``ValueError`` on non-finite input,
+    and on squared column norms that overflow float64 (entries above
+    about 1e150), where the drop threshold could not be formed.
     """
     if rel_tol <= 0.0:
         raise ValueError("rel_tol must be positive")
@@ -125,8 +138,11 @@ def modified_gram_schmidt(X, rel_tol: float = DEFAULT_RANK_TOL) -> np.ndarray:
     max_norm = float(np.sqrt((R * R).sum(axis=0).max()))
     if not np.isfinite(max_norm):
         raise ValueError(_OVERFLOW)
-    if max_norm == 0.0:
-        return empty_basis(n_rows)
+    if max_norm < _NORM_UNDERFLOW:
+        scaled = _scaled_up(X)
+        if scaled is None:
+            return empty_basis(n_rows)
+        return modified_gram_schmidt(scaled, rel_tol)
     drop_below = rel_tol * max_norm
 
     # the residual test runs on Python floats, one per column: cheaper
@@ -222,8 +238,9 @@ def gram_pca(G, K: int) -> np.ndarray:
     first; eigenvalues at or below the cut-off are rank deficiency.
     :func:`_map_back` maps them back through ``G``, so the result has
     ``min(K, numerical rank of G)`` columns, each defined up to its
-    sign.  Raises ``ValueError`` on non-finite input and on a Gram
-    matrix that overflows float64.
+    sign.  A Gram matrix near underflow is formed again from ``G`` scaled
+    up by a power of two, which keeps its span.  Raises ``ValueError`` on
+    non-finite input and on a Gram matrix that overflows float64.
     """
     if K < 1:
         raise ValueError("K must be at least 1")
@@ -240,8 +257,11 @@ def gram_pca(G, K: int) -> np.ndarray:
     lam, V = np.linalg.eigh(gram)
     # eigh sorts ascending; take the principal directions first
     lam, V = lam[::-1], V[:, ::-1]
-    if not lam[0] > 0.0:
-        return empty_basis(n_rows)
+    if lam[0] <= _GRAM_UNDERFLOW:
+        scaled = _scaled_up(G)
+        if scaled is None:
+            return empty_basis(n_rows)
+        return gram_pca(scaled, K)
     keep = min(K, int(np.count_nonzero(lam > DEFAULT_RANK_TOL * lam[0])))
     return _map_back(G, lam[:keep], V[:, :keep])
 

@@ -2,8 +2,8 @@
 boundary-free training.
 
 The trainer keeps its memories as a plain ``list[EpisodicMemory]``, one
-per finished task in ascending task order; ``train_step`` and
-``split_replay_buffer`` take that list as is.
+per finished task in ascending task order; ``train_step``,
+``sample_memory_batch`` and ``split_replay_buffer`` take it as is.
 """
 
 from __future__ import annotations
@@ -75,15 +75,26 @@ def update_memory(
 
 
 def sample_memory_batch(
-    mem: EpisodicMemory, bs_old: int, rng: np.random.Generator
+    memories: list[EpisodicMemory], bs_old: int, rng: np.random.Generator
 ) -> Batch:
-    """Uniform with-replacement sample of ``bs_old`` stored examples."""
-    if len(mem) == 0:
+    """``bs_old`` uniform with-replacement draws from each memory, stacked
+    in list order; sample one memory as ``[memory]``.  One ``rng.integers``
+    call draws every index: the same numbers, and the same state of ``rng``
+    after, as one call per memory.  Raises ``ValueError``, drawing nothing,
+    on an empty list, an empty memory or ``bs_old < 1``."""
+    lens = np.array([len(m) for m in memories])
+    if lens.size == 0 or not lens.all():
         raise ValueError("memory is empty")
     if bs_old < 1:
         raise ValueError("batch size must be at least 1")
-    idx = rng.integers(0, len(mem), size=bs_old)
-    return Batch(mem.features[idx], mem.labels[idx])
+    idx = rng.integers(0, lens[:, None], size=(lens.size, bs_old))
+    inputs = np.empty((lens.size, bs_old, memories[0].features.shape[1]))
+    labels = np.empty((lens.size, bs_old), dtype=np.int64)
+    # take buffers ``out`` in its default mode; every index is in range
+    for m, i, x, y in zip(memories, idx, inputs, labels):
+        m.features.take(i, axis=0, out=x, mode="clip")
+        m.labels.take(i, out=y, mode="clip")
+    return Batch(inputs.reshape(lens.size * bs_old, -1), labels.reshape(-1))
 
 
 def split_replay_buffer(

@@ -1,16 +1,16 @@
 """Sequential training over a task stream with pluggable update rules.
 
-Each training step computes the new-task gradient, samples one batch
-from every stored memory, differentiates the stacked batches in one
-pass into an ``(m, n)`` matrix (row ``i`` for memory ``i``, ascending
-task order) that every update rule reads as is, decomposes it into
-shared and specific components, builds the constraint basis for the
-selected method, solves for the update (on the whole vector or per
-layer), and applies it.  The averaged constraint (A-GEM) reads only the mean memory
-gradient, so for it the same pass runs without groups: the gradient of
-the mean loss over the stacked batch is that mean, and no per-memory
-rows are formed.  With no stored memories every method degenerates to
-plain SGD.
+Each training step computes the new-task gradient, draws one batch from
+every stored memory with one generator call, stacked in ascending task
+order, differentiates them in one pass into an ``(m, n)`` matrix (row
+``i`` for memory ``i``) that every update rule reads as is, decomposes
+it into shared and specific components, builds the constraint basis
+for the selected method, solves for the update (on the whole vector or
+per layer), and applies it.  The averaged constraint (A-GEM) reads only
+the mean memory gradient, so for it the same pass runs without groups:
+the gradient of the mean loss over the stacked batch is that mean, and
+no per-memory rows are formed.  With no stored memories every method
+degenerates to plain SGD.
 
 ``train_sequence`` makes one pass over each task's training data, then
 stores one episodic memory for the task in a plain list, in task order;
@@ -234,17 +234,6 @@ class StepTrace:
     update_norm: float = 0.0
 
 
-def _memory_batch(
-    memories: list[mem.EpisodicMemory], bs_old: int, rng: np.random.Generator
-) -> Batch:
-    """One sampled batch per memory, stacked in ascending task order."""
-    batches = [mem.sample_memory_batch(memory, bs_old, rng) for memory in memories]
-    return Batch(
-        np.concatenate([b.inputs for b in batches]),
-        np.concatenate([b.labels for b in batches]),
-    )
-
-
 def _agem_rule(bundle: GradientBundle) -> solver.UpdateResult:
     """The averaged constraint; ``project_only`` when it leaves ``g`` as is."""
     g, g_bar = bundle.new_grad, bundle.shared
@@ -321,7 +310,7 @@ def train_step(
     if variant.kind == KIND_SINGLE or not memories:
         w = g
     else:
-        stacked = _memory_batch(memories, bs_old, mem_rng)
+        stacked = mem.sample_memory_batch(memories, bs_old, mem_rng)
         if variant.kind == KIND_AGEM:
             # the averaged constraint reads only the mean memory gradient:
             # with equal-sized groups it is the gradient of the mean loss

@@ -6,7 +6,7 @@ import json
 import numpy as np
 import pytest
 
-from gradecomp import cli, trainer
+from gradecomp import cli, tasks, trainer
 from gradecomp.metrics import acc, bwt
 
 
@@ -302,6 +302,44 @@ class TestCmdRun:
         summary = json.loads((tmp_path / "out" / "a" / "summary.json").read_text())
         assert summary["n_tasks"] == 2
         assert 0.0 <= summary["acc"] <= 1.0
+
+    @pytest.mark.parametrize("verb", ["run", "sweep-k"])
+    def test_csv_read_once_per_invocation(self, tmp_path, monkeypatch, verb):
+        rng = np.random.default_rng(43)
+        rows = ["x0,x1,label"] + [
+            f"{rng.standard_normal():.6f},{rng.standard_normal() + 3.0 * (i % 3):.6f},{i % 3}"
+            for i in range(30)
+        ]
+        csv_path = tmp_path / "points.csv"
+        csv_path.write_text("\n".join(rows) + "\n", encoding="utf-8")
+        path = write_config(
+            tmp_path,
+            seeds=[3, 4],
+            variants=["a", "b", "d", "f"],
+            data={"source": "csv", "csv_path": str(csv_path), "label_column": "label",
+                  "tasks": 3},
+            sweep={"variant": "e", "k_values": [1]},
+        )
+        loads = []
+        load = tasks.load_csv_dataset
+
+        def counting(*args):
+            loads.append(args)
+            return load(*args)
+
+        monkeypatch.setattr(tasks, "load_csv_dataset", counting)
+        assert cli.main([verb, str(path)]) == 0
+        assert len(loads) == 1
+        if verb == "run":
+            # the same bytes as runs that read the file themselves
+            config = cli.load_config(str(path), [])
+            for name in config["variants"]:
+                ref = tmp_path / "ref" / name
+                cli.run_one_variant(config, name, config["seed"], ref)
+                for output in ("matrix.csv", "run_log.jsonl"):
+                    out = tmp_path / "out" / name / output
+                    assert out.read_bytes() == (ref / output).read_bytes()
+            assert len(loads) == 6  # load_config and each reference run read it
 
     def test_bad_csv_cell_exit_3(self, tmp_path, capsys):
         csv_path = tmp_path / "d.csv"

@@ -453,6 +453,26 @@ def test_overflowing_column_norms_raise(kernel):
         kernel(X)
 
 
+@pytest.mark.parametrize(
+    "kernel, rank",
+    [
+        (solver.relax_basis, 4),
+        (lambda X: solver.relax_basis(X, 2), 2),
+        (lambda X: linalg.gram_pca(X, K=5), 4),
+        (linalg.modified_gram_schmidt, 4),
+    ],
+    ids=["relax_basis", "relax_basis_k2", "gram_pca", "modified_gram_schmidt"],
+)
+def test_underflowing_column_norms_keep_their_span(kernel, rank):
+    # nonzero entries near 1e-170 square to zero, which must not read as
+    # all-zero input: the basis is that of the same columns at scale 1
+    G = np.random.default_rng(113).standard_normal((40, 5))
+    G -= G.mean(axis=1, keepdims=True)  # zero-sum columns of rank 4
+    B, reference = kernel(G * 1e-170), kernel(G)
+    assert B.shape == reference.shape == (40, rank)
+    np.testing.assert_allclose(B @ B.T, reference @ reference.T, atol=1e-10)
+
+
 class TestApplyProjection:
     def test_axis_projection(self):
         B = np.array([[1.0], [0.0], [0.0]])

@@ -64,13 +64,13 @@ class TestUpdateMemory:
 class TestSampleMemoryBatch:
     def test_single_item_repeats(self):
         mem = update_memory(batch_of(1), m=4)
-        batch = sample_memory_batch(mem, 3, np.random.default_rng(0))
+        batch = sample_memory_batch([mem], 3, np.random.default_rng(0))
         assert len(batch) == 3
         assert (batch.inputs == mem.features[0]).all()
 
     def test_draws_come_from_memory(self):
         mem = update_memory(batch_of(6), m=6)
-        batch = sample_memory_batch(mem, 6, np.random.default_rng(1))
+        batch = sample_memory_batch([mem], 6, np.random.default_rng(1))
         assert set(batch.inputs[:, 0].tolist()) <= set(mem.features[:, 0].tolist())
 
     def test_fixed_seed_reproducible(self):
@@ -78,8 +78,40 @@ class TestSampleMemoryBatch:
         probe = np.random.default_rng(55)
         expected_idx = probe.integers(0, 10, size=4)
         live = np.random.default_rng(55)
-        batch = sample_memory_batch(mem, 4, live)
+        batch = sample_memory_batch([mem], 4, live)
         np.testing.assert_array_equal(batch.inputs[:, 0], np.float64(expected_idx))
+
+    @pytest.mark.parametrize("bs_old", [1, 2, 3, 20, 21])
+    def test_stacked_draw_equals_per_memory_draws(self, bs_old):
+        stored = [
+            update_memory(batch_of(n, start=100 * t), m=n, task_id=t)
+            for t, n in enumerate([1, 7, 40, 3])
+        ]
+        # unequal lengths: the stored memories and a pooled re-split of them
+        memories = stored + split_replay_buffer(stored, 5, np.random.default_rng(6))
+        live, probe = np.random.default_rng(77), np.random.default_rng(77)
+        batch = sample_memory_batch(memories, bs_old, live)
+        idx = [probe.integers(0, len(m), size=bs_old) for m in memories]
+        np.testing.assert_array_equal(
+            batch.inputs, np.concatenate([m.features[i] for m, i in zip(memories, idx)])
+        )
+        np.testing.assert_array_equal(
+            batch.labels, np.concatenate([m.labels[i] for m, i in zip(memories, idx)])
+        )
+        assert live.integers(0, 2**62) == probe.integers(0, 2**62)
+
+    @pytest.mark.parametrize(
+        "sizes, bs_old",
+        [([], 3), ([4, 0], 3), ([0], 1), ([4, 2], 0)],
+        ids=["no-memories", "empty-last", "empty-only", "zero-batch"],
+    )
+    def test_invalid_input_draws_nothing(self, sizes, bs_old):
+        memories = [EpisodicMemory(t, np.ones((n, 3)), np.zeros(n)) for t, n in enumerate(sizes)]
+        rng = np.random.default_rng(8)
+        state = rng.bit_generator.state
+        with pytest.raises(ValueError):
+            sample_memory_batch(memories, bs_old, rng)
+        assert rng.bit_generator.state == state
 
 
 class TestSplitReplayBuffer:

@@ -81,7 +81,7 @@ class TestTrainStep:
         from gradecomp.memory import sample_memory_batch
 
         for memory in memories:
-            mb = sample_memory_batch(memory, 20, mem_rng_probe)
+            mb = sample_memory_batch([memory], 20, mem_rng_probe)
             old.append(probe.loss_and_grad(mb)[1])
 
         # independent closed-form computation in plain numpy
@@ -191,7 +191,7 @@ class TestTrainStep:
         slices = model.layout.slices()
         _, g = model.loss_and_grad(batch)
         mem_rng = np.random.default_rng(1000)  # the memory stream of rngs()
-        sampled = [sample_memory_batch(m, 20, mem_rng) for m in memories]
+        sampled = [sample_memory_batch([m], 20, mem_rng) for m in memories]
         old = [model.loss_and_grad(b)[1] for b in sampled]
         stacked = Batch(
             np.concatenate([b.inputs for b in sampled]),
