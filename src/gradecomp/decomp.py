@@ -14,12 +14,8 @@ specific matrix ``(G - shared).T`` is worked out each time
 vector, so in exact arithmetic it has rank at most ``m - 1`` and its
 first ``m - 1`` columns span it; in floating point the last column adds
 only rounding noise, which is why the full constraint basis is built
-from those first ``m - 1`` columns (see :func:`solver.relax_basis`).
-That basis comes from the columns' small ``(m - 1) x (m - 1)`` Gram
-matrix when their ``sigma_min / sigma_max`` exceeds
-``linalg.GRAM_RATIO_FLOOR``, where its span error is bounded by about
-``eps * kappa``, 2e-12; nearly dependent columns go to the Householder
-QR, which decides their rank (see :func:`linalg.orthonormal_basis`).
+from those first ``m - 1`` columns, by :func:`linalg.orthonormal_basis`
+(see :func:`solver.relax_basis`).
 """
 
 from __future__ import annotations

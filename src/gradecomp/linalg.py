@@ -2,31 +2,32 @@
 Gram-matrix PCA (through LAPACK's symmetric eigensolver), and
 matrix-free null-space projection.
 
-Two routes build an orthonormal basis of a column collection:
+Two routes build an orthonormal basis of a column collection, and
+``orthonormal_basis``, the kernel training uses, picks one by this rule:
 
 * The Gram route works through the small Gram matrix ``X'X`` (CholeskyQR
   with an eigensolver in place of the Cholesky factor, run twice when
   needed; Fukaya et al., 2014): one small ``eigh``, then ``_map_back``,
   two tall products per pass where a QR makes a Householder sweep over
-  the rows.  ``orthonormal_basis``, the kernel training uses, maps back
-  every eigenvector, so it runs only where ``sigma_min / sigma_max`` of
-  ``X``, read off the eigenvalues, exceeds ``GRAM_RATIO_FLOOR`` (or
-  ``rel_tol``, if larger).  There every Gram-Schmidt residual is at
-  least ``sigma_min``, so the QR would keep every column too.  The floor
-  also holds the route to the bars of ``verify.suite_basis_adversarial``:
-  its span error is bounded by about ``eps * kappa`` of the largest
-  column, 2e-12 at the floor (measured: 1.4e-15), and one pass leaves
-  ``|B'B - I|`` below about 1.4e-7, from which the second pass reaches
-  working precision.  ``gram_pca`` maps back only the top ``K``
-  eigenvectors, the principal directions.
+  the rows.  ``orthonormal_basis`` maps back every eigenvector, so it
+  takes this route only where ``sigma_min / sigma_max`` of ``X``, read
+  off the eigenvalues, exceeds ``GRAM_RATIO_FLOOR``.  There every
+  Gram-Schmidt residual is at least ``sigma_min``, and the floor is
+  above ``DEFAULT_RANK_TOL``, so the QR would keep every column too.
+  The floor also holds the route to the bars of
+  ``verify.suite_basis_adversarial``: its span error is bounded by about
+  ``eps * kappa`` of the largest column, 2e-12 at the floor (measured:
+  1.4e-15), and one pass leaves ``|B'B - I|`` below about 1.4e-7, from
+  which the second pass reaches working precision.  ``gram_pca`` maps
+  back only the top ``K`` eigenvectors, the principal directions.
 * ``modified_gram_schmidt`` takes every other input of
   ``orthonormal_basis`` (rank deficient or nearly so, wide, empty,
   non-finite, or so small that its Gram matrix underflows).  It keeps
   the Gram-Schmidt contract (columns taken left to right, a column
   dropped when its residual against the kept ones falls below
-  ``rel_tol`` times the largest column norm) but computes it with
-  numpy's Householder QR of the input; no Python loop runs over the
-  rows.  It is accurate whatever the conditioning.
+  ``DEFAULT_RANK_TOL`` times the largest column norm) but computes it
+  with numpy's Householder QR of the input; no Python loop runs over
+  the rows.  It is accurate whatever the conditioning.
 
 All kernels work on plain float64 numpy arrays.  Vectors are 1-D arrays;
 bases and column collections are 2-D arrays whose columns are the vectors
@@ -85,13 +86,13 @@ def _scaled_up(X: np.ndarray) -> np.ndarray | None:
     return np.ldexp(X, -np.frexp(peak)[1])
 
 
-def modified_gram_schmidt(X, rel_tol: float = DEFAULT_RANK_TOL) -> np.ndarray:
+def modified_gram_schmidt(X) -> np.ndarray:
     """Orthonormal basis of the column space of ``X`` with rank detection.
 
     Contract: columns are taken left to right, and a column is dropped
     when its residual against the columns kept before it falls below
-    ``rel_tol`` times the largest input column norm.  The basis is
-    defined up to the signs of its columns.
+    ``DEFAULT_RANK_TOL`` times the largest input column norm.  The basis
+    is defined up to the signs of its columns.
 
     Algorithm (one Householder QR, numpy's reduced ``Q, R = qr(X)``):
 
@@ -118,8 +119,6 @@ def modified_gram_schmidt(X, rel_tol: float = DEFAULT_RANK_TOL) -> np.ndarray:
     and on squared column norms that overflow float64 (entries above
     about 1e150), where the drop threshold could not be formed.
     """
-    if rel_tol <= 0.0:
-        raise ValueError("rel_tol must be positive")
     X = _as_matrix(X)
     n_rows, n_cols = X.shape
     if n_cols == 0:
@@ -127,13 +126,6 @@ def modified_gram_schmidt(X, rel_tol: float = DEFAULT_RANK_TOL) -> np.ndarray:
     if not np.isfinite(X).all():
         raise ValueError("input columns must be finite")
 
-    # numpy's reduced Q (LAPACK orgqr) trades speed on tall inputs for
-    # less code than accumulating the reflectors by hand.  On the 18-column
-    # inputs a variant-f sequence (T=20, 400 per class) sends here, at 1
-    # BLAS thread, it took 0.68x the hand-built time at 303 rows, 1.27x at
-    # 3,300 and 2.3x at 10,100.  That sequence sends 25 of its 5,472 bases
-    # here (17 at 303 rows, 4 each at 3,300 and 10,100): about +18 ms on a
-    # 5-8 s run, +25 ms at 2 threads
     Q, R = np.linalg.qr(X)
     max_norm = float(np.sqrt((R * R).sum(axis=0).max()))
     if not np.isfinite(max_norm):
@@ -142,8 +134,8 @@ def modified_gram_schmidt(X, rel_tol: float = DEFAULT_RANK_TOL) -> np.ndarray:
         scaled = _scaled_up(X)
         if scaled is None:
             return empty_basis(n_rows)
-        return modified_gram_schmidt(scaled, rel_tol)
-    drop_below = rel_tol * max_norm
+        return modified_gram_schmidt(scaled)
+    drop_below = DEFAULT_RANK_TOL * max_norm
 
     # the residual test runs on Python floats, one per column: cheaper
     # than a numpy call per step on so few values
@@ -198,17 +190,17 @@ def _map_back(X, lam, V) -> np.ndarray:
     return B
 
 
-def orthonormal_basis(X, rel_tol: float = DEFAULT_RANK_TOL) -> np.ndarray:
+def orthonormal_basis(X) -> np.ndarray:
     """Orthonormal basis of the column space of ``X``: through its Gram
     matrix when ``X`` is well conditioned, else ``modified_gram_schmidt``.
 
     1. ``lam, V = eigh(X'X)``.
     2. When ``sigma_min / sigma_max = sqrt(lam_min / lam_max)`` is at most
-       ``max(GRAM_RATIO_FLOOR, rel_tol)``, the eigenvalues are not finite
-       (``eigh`` raises on non-finite input), or ``lam_min`` is near
-       underflow, return ``modified_gram_schmidt(X, rel_tol)``: its rank
-       contract and its ``ValueError`` on non-finite or overflowing input
-       hold as they are.
+       ``GRAM_RATIO_FLOOR``, the eigenvalues are not finite (``eigh``
+       raises on non-finite input), or ``lam_min`` is near underflow,
+       return ``modified_gram_schmidt(X)``: its rank contract and its
+       ``ValueError`` on non-finite or overflowing input hold as they
+       are.
     3. Otherwise map every eigenvector back through ``X`` with
        :func:`_map_back`: every column is kept, as the QR would keep it.
 
@@ -217,16 +209,16 @@ def orthonormal_basis(X, rel_tol: float = DEFAULT_RANK_TOL) -> np.ndarray:
     span.  ``X`` is never modified.
     """
     X = _as_matrix(X)
-    if X.shape[1] == 0 or rel_tol <= 0.0:
-        return modified_gram_schmidt(X, rel_tol)
+    if X.shape[1] == 0:
+        return modified_gram_schmidt(X)
     try:
         lam, V = np.linalg.eigh(X.T @ X)
     except np.linalg.LinAlgError:
-        return modified_gram_schmidt(X, rel_tol)
+        return modified_gram_schmidt(X)
     # NaN fails the comparison, and an infinite lam_max makes the floor inf
-    floor = max(GRAM_RATIO_FLOOR, rel_tol) ** 2 * lam[-1]
+    floor = GRAM_RATIO_FLOOR**2 * lam[-1]
     if not lam[0] > max(floor, _GRAM_UNDERFLOW):
-        return modified_gram_schmidt(X, rel_tol)
+        return modified_gram_schmidt(X)
     return _map_back(X, lam, V)
 
 

@@ -113,12 +113,7 @@ def split_replay_buffer(
         raise ValueError(f"cannot split {total} items into {N} parts")
     features = np.concatenate([m.features for m in memories])
     labels = np.concatenate([m.labels for m in memories])
-    order = rng.permutation(total)
-    sizes = [total // N + (1 if i < total % N else 0) for i in range(N)]
-    parts = []
-    offset = 0
-    for i, size in enumerate(sizes):
-        idx = order[offset: offset + size]
-        offset += size
-        parts.append(EpisodicMemory(i, features[idx], labels[idx]))
-    return parts
+    return [
+        EpisodicMemory(i, features[idx], labels[idx])
+        for i, idx in enumerate(np.array_split(rng.permutation(total), N))
+    ]

@@ -86,13 +86,11 @@ class MlpModel:
 
     def _bind_views(self):
         self._layers: list[tuple[np.ndarray, np.ndarray]] = []
-        offset = 0
-        for fan_in, fan_out in zip(self.layer_sizes[:-1], self.layer_sizes[1:]):
-            W = self.params[offset: offset + fan_in * fan_out].reshape(fan_in, fan_out)
-            offset += fan_in * fan_out
-            b = self.params[offset: offset + fan_out]
-            offset += fan_out
-            self._layers.append((W, b))
+        layers = zip(self.layout.segments, self.layer_sizes[:-1], self.layer_sizes[1:])
+        for seg, fan_in, fan_out in layers:
+            bias_at = seg.offset + fan_in * fan_out
+            W = self.params[seg.offset: bias_at].reshape(fan_in, fan_out)
+            self._layers.append((W, self.params[bias_at: bias_at + fan_out]))
 
     @property
     def n_classes(self) -> int:
@@ -182,12 +180,11 @@ class MlpModel:
         delta /= sum_exp[:, None]
         delta[picked] -= 1.0
         delta /= bs
-        offset = self.layout.total
         for i in range(last, -1, -1):
             W, _ = self._layers[i]
             fan_in, fan_out = W.shape
-            bias_at = offset - fan_out
-            offset = bias_at - fan_in * fan_out
+            offset = self.layout.segments[i].offset
+            bias_at = offset + fan_in * fan_out
             a = inputs.pop()
             d = delta.reshape(m, bs, fan_out)
             gW = G[:, offset:bias_at].reshape(m, fan_in, fan_out)

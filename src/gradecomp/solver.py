@@ -149,14 +149,11 @@ def relax_basis(G_specific: np.ndarray, k: int | None = None) -> np.ndarray:
     The columns sum to zero, so the first ``m - 1`` of them span the
     matrix; the full basis is built from those alone, because the last
     column adds no direction, only the rounding noise of the deviations.
-    It comes from :func:`linalg.orthonormal_basis`: through their small
-    Gram matrix when ``sigma_min / sigma_max`` of those columns exceeds
-    ``linalg.GRAM_RATIO_FLOOR`` (every column kept), else through the
-    Householder QR of :func:`linalg.modified_gram_schmidt`, which decides
-    the rank of nearly dependent columns.  The principal directions come
-    from :func:`linalg.gram_pca`, the same Gram mapping applied to the
-    top ``k`` eigenpairs; they read all ``m`` columns, since dropping
-    one would change ``G_specific G_specific'``.
+    It comes from :func:`linalg.orthonormal_basis`, whose route rule
+    decides the rank of nearly dependent columns.  The principal
+    directions come from :func:`linalg.gram_pca`, the same Gram mapping
+    applied to the top ``k`` eigenpairs; they read all ``m`` columns,
+    since dropping one would change ``G_specific G_specific'``.
     """
     if k is None:
         return linalg.orthonormal_basis(G_specific[:, :-1])

@@ -194,21 +194,15 @@ def gen_data_incremental_tasks(
     if n < T:
         raise ValueError(f"cannot shard {n} examples into {T} tasks")
     all_classes = np.unique(np.concatenate([train.labels, test.labels]))
-    rng = np.random.default_rng(seed)
-    order = rng.permutation(n)
-    sizes = [n // T + (1 if i < n % T else 0) for i in range(T)]
-    tasks = []
-    offset = 0
-    for size in sizes:
-        idx = order[offset: offset + size]
-        offset += size
-        tasks.append(
-            Task(
-                train=Batch(train.inputs[idx], train.labels[idx]),
-                test=Batch(test.inputs.copy(), test.labels.copy()),
-                class_subset=all_classes,
-            )
+    order = np.random.default_rng(seed).permutation(n)
+    tasks = [
+        Task(
+            train=Batch(train.inputs[idx], train.labels[idx]),
+            test=Batch(test.inputs.copy(), test.labels.copy()),
+            class_subset=all_classes,
         )
+        for idx in np.array_split(order, T)
+    ]
     return TaskStream(scenario=SCENARIO_DATA_INCREMENTAL, tasks=tasks)
 
 

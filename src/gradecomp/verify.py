@@ -58,29 +58,24 @@ def _solver_bundle(rng: np.random.Generator, family: str, min_mem: int):
     return _random_bundle(rng, dim, int(rng.integers(min_mem, 9)))
 
 
-def suite_solver_vs_oracle(
-    n_instances: int = 500,
-    seed: int = 2024,
-    rel_tol: float = 1e-6,
-    solve_fn: Callable = None,
-) -> SuiteResult:
-    """Closed-form solutions must match the brute-force KKT oracle.
+def suite_solver_vs_oracle() -> SuiteResult:
+    """Closed-form solutions must match the brute-force KKT oracle to a
+    relative gap of 1e-6, on 500 instances drawn from seed 2024.
 
     Instances alternate between random memories and near-collinear ones
     (spread 1e-12..1, per-memory scales 1e-3..1e3); the basis comes from
-    :func:`solver.relax_basis`, as in training.  ``solve_fn`` defaults to
-    the production solver; it is injectable so a deliberately broken
-    solver can be shown to trip the suite.
+    :func:`solver.relax_basis`, as in training.  The solve is
+    :func:`solver.solve_update`, looked up at call time.
     """
-    solve = solve_fn or solver.solve_update
-    rng = np.random.default_rng(seed)
+    n_instances, rel_tol = 500, 1e-6
+    rng = np.random.default_rng(2024)
     worst = dict.fromkeys(SOLVER_FAMILIES, 0.0)
     branches = {solver.PROJECT_ONLY: 0, solver.PROJECT_AND_REFLECT: 0}
     for i in range(n_instances):
         family = SOLVER_FAMILIES[i % len(SOLVER_FAMILIES)]
         bundle = _solver_bundle(rng, family, min_mem=2)
         B = solver.relax_basis(bundle.specific)
-        res = solve(bundle.new_grad, bundle.shared, B)
+        res = solver.solve_update(bundle.new_grad, bundle.shared, B)
         branches[res.branch] += 1
         w_ref = solver.qp_oracle(bundle.new_grad, bundle.shared, B)
         # relative to the instance scale: the optimum itself can be
@@ -121,9 +116,11 @@ def suite_solver_vs_oracle(
     return SuiteResult("solver_vs_oracle", True, n_instances, detail)
 
 
-def suite_projection_psd(n_instances: int = 100, seed: int = 2025) -> SuiteResult:
-    """The projection must never produce a negative quadratic form."""
-    rng = np.random.default_rng(seed)
+def suite_projection_psd() -> SuiteResult:
+    """The projection must never produce a negative quadratic form, on
+    100 instances drawn from seed 2025."""
+    n_instances = 100
+    rng = np.random.default_rng(2025)
     worst = 0.0
     for i in range(n_instances):
         dim = int(rng.integers(3, 40))
@@ -146,9 +143,11 @@ def suite_projection_psd(n_instances: int = 100, seed: int = 2025) -> SuiteResul
     )
 
 
-def suite_decomposition_zero_sum(n_instances: int = 100, seed: int = 2026) -> SuiteResult:
-    """Specific columns must sum to zero, with numerical rank <= t - 2."""
-    rng = np.random.default_rng(seed)
+def suite_decomposition_zero_sum() -> SuiteResult:
+    """Specific columns must sum to zero, with numerical rank <= t - 2, on
+    100 bundles drawn from seed 2026."""
+    n_instances = 100
+    rng = np.random.default_rng(2026)
     worst = 0.0
     for i in range(n_instances):
         dim = int(rng.integers(4, 80))
@@ -180,15 +179,17 @@ def suite_decomposition_zero_sum(n_instances: int = 100, seed: int = 2026) -> Su
     )
 
 
-def suite_gradient_check(n_models: int = 20, seed: int = 2027) -> SuiteResult:
-    """Backprop must match central finite differences coordinate-wise.
+def suite_gradient_check() -> SuiteResult:
+    """Backprop must match central finite differences coordinate-wise, on
+    20 models drawn from seed 2027.
 
     Every instance stacks 2-4 groups of equal size and differentiates them
     in one pass (``loss_and_grad(batch, groups=m)``).  Each group's row
     must match central differences of that group's own loss, and a pass
     over that group alone to 1e-13 relative.
     """
-    rng = np.random.default_rng(seed)
+    n_models = 20
+    rng = np.random.default_rng(2027)
     step = 1e-5
     worst = worst_alone = 0.0
     for i in range(n_models):
@@ -253,20 +254,19 @@ def suite_gradient_check(n_models: int = 20, seed: int = 2027) -> SuiteResult:
     )
 
 
-def suite_constraint_feasibility(
-    n_instances: int = 200, seed: int = 2028, solve_fn: Callable = None
-) -> SuiteResult:
+def suite_constraint_feasibility() -> SuiteResult:
     """Every solve must respect both constraint families within tolerance,
-    on the instance families of :func:`suite_solver_vs_oracle`."""
-    solve = solve_fn or solver.solve_update
-    rng = np.random.default_rng(seed)
+    on 200 instances of the families of :func:`suite_solver_vs_oracle`
+    drawn from seed 2028."""
+    n_instances = 200
+    rng = np.random.default_rng(2028)
     worst_eq = 0.0
     worst_ineq = 0.0
     for i in range(n_instances):
         family = SOLVER_FAMILIES[i % len(SOLVER_FAMILIES)]
         bundle = _solver_bundle(rng, family, min_mem=1)
         B = solver.relax_basis(bundle.specific)
-        res = solve(bundle.new_grad, bundle.shared, B)
+        res = solver.solve_update(bundle.new_grad, bundle.shared, B)
         norm_g = float(np.linalg.norm(bundle.new_grad))
         norm_bar = float(np.linalg.norm(bundle.shared))
         eq = float(np.abs(B.T @ res.w).max()) if B.shape[1] else 0.0
@@ -345,12 +345,7 @@ def _adversarial_columns(rng: np.random.Generator, family: str):
     return frame @ (s ** np.arange(n_cols)[:, None] * T), None
 
 
-def suite_basis_adversarial(
-    n_instances: int = 500,
-    seed: int = 2029,
-    rel_tol: float = linalg.DEFAULT_RANK_TOL,
-    basis_fn: Callable = None,
-) -> SuiteResult:
+def suite_basis_adversarial(basis_fn: Callable = None) -> SuiteResult:
     """The constraint basis must stay orthonormal and span its input on
     adversarial columns: the zero-sum specific columns of near-collinear
     memories (the first ``m - 1``, as :func:`solver.relax_basis` passes
@@ -358,11 +353,11 @@ def suite_basis_adversarial(
     in the middle, and graded Kahan-type triangles whose condition number
     far exceeds the inverse of their smallest Gram-Schmidt residual.
 
-    Each instance checks ``|B'B - I| <= 1e-12``, that every input
-    column's residual outside the basis is at most ``rel_tol`` times the
-    largest column norm (plus 1e-13 of it for rounding), that
-    ``rank <= min(n, m)`` (exact where the family fixes it), and that
-    finite input never raises.
+    It draws 500 instances from seed 2029.  Each checks ``|B'B - I| <=
+    1e-12``, that every input column's residual outside the basis is at
+    most ``linalg.DEFAULT_RANK_TOL`` times the largest column norm (plus
+    1e-13 of it for rounding), that ``rank <= min(n, m)`` (exact where
+    the family fixes it), and that finite input never raises.
 
     ``basis_fn`` defaults to ``linalg.orthonormal_basis``, the kernel
     training uses; :func:`run_all_suites` also runs its fallback,
@@ -372,7 +367,8 @@ def suite_basis_adversarial(
     """
     basis = basis_fn or linalg.orthonormal_basis
     name = f"basis_adversarial[{getattr(basis, '__name__', 'kernel')}]"
-    rng = np.random.default_rng(seed)
+    n_instances, rel_tol = 500, linalg.DEFAULT_RANK_TOL
+    rng = np.random.default_rng(2029)
     worst_orth = 0.0
     worst_resid = 0.0
     for i in range(n_instances):
@@ -381,7 +377,7 @@ def suite_basis_adversarial(
         n, m = X.shape
         problem = None
         try:
-            B = np.asarray(basis(X, rel_tol))
+            B = np.asarray(basis(X))
         except Exception as exc:  # the kernel must not raise on finite input
             B = None
             problem = f"raised {type(exc).__name__}: {exc}"
@@ -414,7 +410,6 @@ def suite_basis_adversarial(
                 failing_case={
                     "instance": i,
                     "family": family,
-                    "rel_tol": rel_tol,
                     "X": X.tolist(),
                 },
             )
@@ -468,21 +463,19 @@ def _gem_instance(rng: np.random.Generator, family: str):
     return -rng.uniform(0.0, 2.0) * base + rng.standard_normal(dim), G
 
 
-def suite_gem_exact(
-    n_instances: int = 2000, seed: int = 2030, gem_fn: Callable = None
-) -> SuiteResult:
-    """The per-memory QP solve must reach its optimum.
+def suite_gem_exact() -> SuiteResult:
+    """The per-memory QP solve must reach its optimum, on 2,000 instances
+    drawn from seed 2030.
 
     Alternating instances: on ``enumerable`` ones (up to 6 memories) the
     update must equal the brute-force optimum over all active sets to
     ``1e-9 ||g||``; on ``near_collinear`` ones (up to 19 memories) it must
     return, without raising, a finite update with ``g_i'w >= -1e-8
-    ||g_i|| ||g||`` for every memory.  ``gem_fn`` defaults to
-    ``solver.gem_qp_update``; it is injectable so a broken solver can be
-    shown to trip the suite.
+    ||g_i|| ||g||`` for every memory.  The solve is
+    :func:`solver.gem_qp_update`, looked up at call time.
     """
-    gem = gem_fn or solver.gem_qp_update
-    rng = np.random.default_rng(seed)
+    n_instances = 2000
+    rng = np.random.default_rng(2030)
     worst_gap = 0.0
     worst_slack = 0.0
     active = []
@@ -492,7 +485,7 @@ def suite_gem_exact(
         norm_g = float(np.linalg.norm(g))
         problem = None
         try:
-            w = np.asarray(gem(g, G), dtype=np.float64)
+            w = np.asarray(solver.gem_qp_update(g, G), dtype=np.float64)
         except Exception as exc:
             w = None
             problem = f"raised {type(exc).__name__}: {exc}"
@@ -534,13 +527,13 @@ def suite_gem_exact(
     )
 
 
-def run_all_suites(solve_fn: Callable = None) -> list[SuiteResult]:
+def run_all_suites() -> list[SuiteResult]:
     return [
-        suite_solver_vs_oracle(solve_fn=solve_fn),
+        suite_solver_vs_oracle(),
         suite_projection_psd(),
         suite_decomposition_zero_sum(),
         suite_gradient_check(),
-        suite_constraint_feasibility(solve_fn=solve_fn),
+        suite_constraint_feasibility(),
         suite_basis_adversarial(basis_fn=linalg.orthonormal_basis),
         suite_basis_adversarial(basis_fn=linalg.modified_gram_schmidt),
         suite_gem_exact(),

@@ -60,7 +60,7 @@ def ablation_results():
 def test_criterion_01_solver_oracle_equivalence():
     """500 seeded instances, both branches, within 1e-6, under 10 s."""
     start = time.perf_counter()
-    result = verify.suite_solver_vs_oracle(n_instances=500, rel_tol=1e-6)
+    result = verify.suite_solver_vs_oracle()
     elapsed = time.perf_counter() - start
     print(f"criterion 1: {result.detail}; runtime {elapsed:.2f}s")
     assert result.passed, result.detail
@@ -71,7 +71,7 @@ def test_criterion_02_constraint_feasibility(feasibility_guard):
     """Dedicated 200-instance sweep; plus every solver call made anywhere
     in this test session runs through the feasibility-checking wrapper
     installed in conftest, which fails the triggering test on violation."""
-    result = verify.suite_constraint_feasibility(n_instances=200)
+    result = verify.suite_constraint_feasibility()
     print(f"criterion 2: {result.detail}; wrapped calls so far: "
           f"{feasibility_guard['calls']}")
     assert result.passed, result.detail
@@ -80,21 +80,21 @@ def test_criterion_02_constraint_feasibility(feasibility_guard):
 
 def test_criterion_03_decomposition_invariants():
     """Zero-sum specific columns and rank bound on 100 random bundles."""
-    result = verify.suite_decomposition_zero_sum(n_instances=100)
+    result = verify.suite_decomposition_zero_sum()
     print(f"criterion 3: {result.detail}")
     assert result.passed, result.detail
 
 
 def test_criterion_04_projection_psd():
     """Non-negative quadratic form for 100 random basis/vector pairs."""
-    result = verify.suite_projection_psd(n_instances=100)
+    result = verify.suite_projection_psd()
     print(f"criterion 4: {result.detail}")
     assert result.passed, result.detail
 
 
 def test_criterion_05_gradient_correctness():
     """Backprop vs central differences on 20 random models."""
-    result = verify.suite_gradient_check(n_models=20)
+    result = verify.suite_gradient_check()
     print(f"criterion 5: {result.detail}")
     assert result.passed, result.detail
 

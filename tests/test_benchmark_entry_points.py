@@ -2,6 +2,7 @@
 wraps or calls; a renamed or dropped one would otherwise show up only in
 a traced benchmark run."""
 
+import inspect
 import json
 from dataclasses import replace
 from pathlib import Path
@@ -33,6 +34,19 @@ def test_traced_names_resolve(perfbench):
         if not callable(getattr(owner, attr, None))
     ]
     assert not missing, f"perfbench traces names the package lacks: {missing}"
+
+
+def test_names_the_benchmark_tests_reach_resolve():
+    # perfbench/tests replaces trainer._solve_for_variant with a function
+    # of (variant, model, g, *rest) returning g, builds the variants with
+    # their factories and stores memories with update_memory(task_id=)
+    from gradecomp import memory, trainer
+
+    params = list(inspect.signature(trainer._solve_for_variant).parameters)
+    assert params[:3] == ["variant", "model", "g"]
+    for factory in (trainer.variant_ours, trainer.variant_agem, trainer.variant_gem):
+        assert isinstance(factory(), trainer.MethodVariant)
+    assert "task_id" in inspect.signature(memory.update_memory).parameters
 
 
 def test_gate_installs_and_restores(perfbench):

@@ -435,11 +435,16 @@ class TestCmdVerify:
     def test_fresh_build_passes(self, tmp_path, capsys):
         assert cli.main(["verify", "--out-dir", str(tmp_path)]) == 0
         out = capsys.readouterr().out
-        assert out.count("PASS") >= 4
         assert "FAIL" not in out
-        # both basis kernels training uses, each on its own line
-        assert "PASS basis_adversarial[orthonormal_basis]" in out
-        assert "PASS basis_adversarial[modified_gram_schmidt]" in out
+        # every suite on its own line, both basis kernels training uses
+        for name in (
+            "solver_vs_oracle", "projection_psd", "decomposition_zero_sum",
+            "gradient_check", "constraint_feasibility",
+            "basis_adversarial[orthonormal_basis]",
+            "basis_adversarial[modified_gram_schmidt]", "gem_exact",
+        ):
+            assert f"PASS {name}:" in out
+        assert "8/8 property suites passed" in out.splitlines()
 
     def test_mutated_solver_detected(self, monkeypatch, tmp_path, capsys):
         # flip the sign of the reflect-branch correction: the oracle

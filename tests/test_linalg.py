@@ -85,9 +85,7 @@ class TestModifiedGramSchmidt:
             linalg.modified_gram_schmidt(X)
             assert np.array_equal(X, X0)
 
-    def test_rejects_bad_tolerance_and_nonfinite(self):
-        with pytest.raises(ValueError):
-            linalg.modified_gram_schmidt(np.eye(2), rel_tol=0.0)
+    def test_rejects_nonfinite(self):
         with pytest.raises(ValueError):
             linalg.modified_gram_schmidt(np.array([[np.nan], [1.0]]))
 
@@ -100,7 +98,7 @@ def assert_gram_schmidt_of(B, cols):
     np.testing.assert_allclose(np.abs(B.T @ Q), np.eye(Q.shape[1]), atol=1e-10)
 
 
-def loop_gram_schmidt(X, rel_tol=linalg.DEFAULT_RANK_TOL):
+def loop_gram_schmidt(X):
     """Reference: column-by-column Gram-Schmidt with two orthogonalization
     passes and the same drop rule as the kernel."""
     max_norm = np.linalg.norm(X, axis=0).max()
@@ -111,7 +109,7 @@ def loop_gram_schmidt(X, rel_tol=linalg.DEFAULT_RANK_TOL):
             for b in cols:
                 v -= (b @ v) * b
         norm = np.linalg.norm(v)
-        if norm >= rel_tol * max_norm:
+        if norm >= linalg.DEFAULT_RANK_TOL * max_norm:
             cols.append(v / norm)
     return np.column_stack(cols) if cols else np.zeros((X.shape[0], 0))
 
@@ -210,21 +208,22 @@ class TestBasisContract:
         assert res.passed, res.detail
 
     def test_adversarial_suite_trips_on_broken_kernels(self):
-        def single_cholesky_pass(X, rel_tol):
+        def single_cholesky_pass(X):
             # no rank test and no second pass: loses orthogonality
             L = np.linalg.cholesky(X.T @ X)
             return X @ np.linalg.inv(L).T
 
-        def drops_too_much(X, rel_tol):
-            return linalg.modified_gram_schmidt(X, rel_tol * 1e4)
+        def drops_too_much(X):
+            return linalg.modified_gram_schmidt(X)[:, :-1]
 
-        def inverts_the_triangle(X, rel_tol):
+        def inverts_the_triangle(X):
             # X inv(R), then one Cholesky pass: orthonormal, but on graded
             # triangles its span drifts away from the columns
             R = np.linalg.qr(X, mode="r")
-            keep = np.abs(np.diag(R)) >= rel_tol * np.linalg.norm(X, axis=0).max()
+            drop_below = linalg.DEFAULT_RANK_TOL * np.linalg.norm(X, axis=0).max()
+            keep = np.abs(np.diag(R)) >= drop_below
             if not keep.all():
-                return linalg.modified_gram_schmidt(X, rel_tol)
+                return linalg.modified_gram_schmidt(X)
             U = X @ np.linalg.inv(R)
             return U @ np.linalg.inv(np.linalg.cholesky(U.T @ U)).T
 
@@ -234,12 +233,10 @@ class TestBasisContract:
             assert res.failing_case is not None
 
 
-def takes_the_qr(X, rel_tol=linalg.DEFAULT_RANK_TOL):
+def takes_the_qr(X):
     """Whether ``orthonormal_basis`` returned the QR fallback's basis
     (bit for bit); the Gram route picks other directions in the span."""
-    return np.array_equal(
-        linalg.orthonormal_basis(X, rel_tol), linalg.modified_gram_schmidt(X, rel_tol)
-    )
+    return np.array_equal(linalg.orthonormal_basis(X), linalg.modified_gram_schmidt(X))
 
 
 class TestOrthonormalBasis:
@@ -316,18 +313,19 @@ class TestOrthonormalBasis:
             assert takes_the_qr(X)
             assert linalg.orthonormal_basis(X).shape == linalg.modified_gram_schmidt(X).shape
 
-    def test_rank_decided_by_rel_tol_takes_the_qr(self):
+    def test_small_ratio_above_the_floor_takes_the_gram_route(self):
         # sigma_min / sigma_max about 5e-4 clears the 1e-4 floor, so the
-        # default keeps both columns; at rel_tol 1e-3 the QR drops the
-        # second, and the Gram route, which keeps every column, must not run
+        # Gram route runs and keeps both columns, as the QR would: the
+        # floor lies above the QR's drop threshold, so no column the Gram
+        # route keeps is one the QR would drop
+        assert linalg.GRAM_RATIO_FLOOR > linalg.DEFAULT_RANK_TOL
         rng = np.random.default_rng(144)
         a, b = rng.standard_normal((2, 30))
         b -= (a @ b) / (a @ a) * a
         X = np.column_stack([a, a + 5e-4 * np.linalg.norm(a) / np.linalg.norm(b) * b])
         assert not takes_the_qr(X)
         assert linalg.orthonormal_basis(X).shape == (30, 2)
-        assert takes_the_qr(X, rel_tol=1e-3)
-        assert linalg.orthonormal_basis(X, rel_tol=1e-3).shape == (30, 1)
+        assert linalg.modified_gram_schmidt(X).shape == (30, 2)
 
     def test_gram_underflow_takes_the_qr(self):
         # entries near 1e-160 square to subnormals in X'X, which hold too
@@ -345,10 +343,8 @@ class TestOrthonormalBasis:
         with pytest.raises(ValueError, match="finite"):
             linalg.orthonormal_basis(X)
 
-    def test_empty_input_and_bad_tolerance(self):
+    def test_empty_input(self):
         assert linalg.orthonormal_basis(np.zeros((4, 0))).shape == (4, 0)
-        with pytest.raises(ValueError):
-            linalg.orthonormal_basis(np.eye(2), rel_tol=0.0)
 
     def test_does_not_mutate_input(self):
         rng = np.random.default_rng(147)

@@ -8,7 +8,7 @@ correctness evidence.
 import numpy as np
 import pytest
 
-from gradecomp import linalg, verify
+from gradecomp import linalg, solver, verify
 from gradecomp.decomp import decompose
 from gradecomp.solver import (
     PROJECT_AND_REFLECT,
@@ -315,7 +315,7 @@ class TestGemExactSuite:
         sizes = res.detail.rsplit("[", 1)[1]
         assert sum(int(c) > 0 for c in sizes.strip("]").split(",")) >= 5
 
-    def test_trips_on_a_capped_dual_iteration(self):
+    def test_trips_on_a_capped_dual_iteration(self, monkeypatch):
         # projected gradient on the dual, stopped after a fixed number of
         # steps: close to the optimum on easy instances, not on all
         def capped(g, old_grads):
@@ -327,6 +327,7 @@ class TestGemExactSuite:
                 v = np.maximum(0.0, v - step * (K @ v + q))
             return g + G.T @ v
 
-        res = verify.suite_gem_exact(gem_fn=capped)
+        monkeypatch.setattr(solver, "gem_qp_update", capped)
+        res = verify.suite_gem_exact()
         assert not res.passed
         assert res.failing_case is not None
