@@ -29,6 +29,9 @@ Two routes build an orthonormal basis of a column collection, and
   with numpy's Householder QR of the input; no Python loop runs over
   the rows.  It is accurate whatever the conditioning.
 
+``Workspace`` is the grow-only buffer the training loop and the model
+write their large per-step arrays into.
+
 All kernels work on plain float64 numpy arrays.  Vectors are 1-D arrays;
 bases and column collections are 2-D arrays whose columns are the vectors
 of interest.  A basis with zero columns (shape ``(n, 0)``) is a valid
@@ -39,6 +42,8 @@ choice of directions within the span is part of any kernel's contract.
 """
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 
@@ -74,6 +79,31 @@ def _as_matrix(X) -> np.ndarray:
 
 def empty_basis(n_rows: int) -> np.ndarray:
     return np.zeros((n_rows, 0))
+
+
+class Workspace:
+    """A grow-only float64 buffer for arrays that one call makes and the
+    next call makes again, at most as large.
+
+    ``take(shape)`` returns a C-ordered view of the buffer's first
+    ``prod(shape)`` entries, reallocating it to exactly that size only
+    when it is smaller.  A view is valid until the next ``take``, which
+    may overwrite it.  Reusing the buffer keeps its pages resident: a
+    fresh array freed at the top of the heap is returned to the system
+    by glibc, and the next one faults its pages back in.  The old buffer
+    is released before the new one is allocated, so the new one can
+    take its place rather than leave a hole in the heap.
+    """
+
+    def __init__(self):
+        self._flat = np.empty(0)
+
+    def take(self, shape: tuple[int, ...]) -> np.ndarray:
+        size = math.prod(shape)
+        if self._flat.size < size:
+            self._flat = np.empty(0)
+            self._flat = np.empty(size)
+        return self._flat[:size].reshape(shape)
 
 
 def _scaled_up(X: np.ndarray) -> np.ndarray | None:

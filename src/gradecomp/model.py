@@ -22,6 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .layerwise import ParamLayout
+from .linalg import Workspace
 
 
 def _is_count(value, least: int = 1) -> bool:
@@ -85,6 +86,9 @@ class MlpModel:
             b[...] = 0.0
 
     def _bind_views(self):
+        """The weight and bias views into ``params``, and empty scratch
+        for each hidden layer's output in ``loss_and_grad``."""
+        self._hidden = [Workspace() for _ in self.layer_sizes[1:-1]]
         self._layers: list[tuple[np.ndarray, np.ndarray]] = []
         layers = zip(self.layout.segments, self.layer_sizes[:-1], self.layer_sizes[1:])
         for seg, fan_in, fan_out in layers:
@@ -119,7 +123,7 @@ class MlpModel:
         return h
 
     def loss_and_grad(
-        self, batch: Batch, groups: int | None = None
+        self, batch: Batch, groups: int | None = None, *, out: np.ndarray | None = None
     ) -> tuple[float, np.ndarray] | tuple[np.ndarray, np.ndarray]:
         """Mean cross-entropy and its flat gradient, for one or many groups.
 
@@ -136,6 +140,14 @@ class MlpModel:
         backprop bit for bit; a group's row agrees with a call on that
         group alone to rounding (BLAS may round a tall product differently
         from a short one).
+
+        ``out``, when given, receives the gradient and is returned in its
+        place, as in numpy: a C-contiguous float64 array of the result's
+        shape, ``(n_params,)`` or ``(m, n_params)``, else ``ValueError``.
+        A training run passes one buffer to every step, so its pages stay
+        resident.  The hidden activations and deltas live in scratch
+        buffers of the model's own, grown to the largest batch seen, so
+        two threads must not run this method on one model at once.
         """
         X = batch.inputs
         y = batch.labels
@@ -153,17 +165,25 @@ class MlpModel:
                 f"{rows} rows do not split into {groups} groups of equal size"
             )
         bs = rows // m
-        # allocated before the activations: when they are freed next to it,
-        # the next, one-row-larger G fits in the freed space, and the
-        # process does not keep one stale G per memory count resident
-        G = np.empty((m, self.layout.total))
+        shape = (self.layout.total,) if groups is None else (m, self.layout.total)
+        if out is None:
+            out = np.empty(shape)
+        elif not (
+            isinstance(out, np.ndarray) and out.shape == shape
+            and out.dtype == np.float64 and out.flags.c_contiguous
+        ):
+            raise ValueError(
+                f"out must be a C-contiguous float64 array of shape {shape}"
+            )
+        G = out.reshape(m, self.layout.total)  # a view: out is C-contiguous
         last = len(self._layers) - 1
 
         # inputs of every layer; a hidden layer's ReLU mask is its output > 0
         inputs = [X]
         h = X
         for i, (W, b) in enumerate(self._layers):
-            h = h @ W
+            hidden = None if i == last else self._hidden[i].take((rows, W.shape[1]))
+            h = np.matmul(h, W, out=hidden)
             h += b
             if i != last:
                 np.maximum(h, 0.0, out=h)
@@ -200,8 +220,8 @@ class MlpModel:
         if not np.isfinite(losses).all() or not np.isfinite(G).all():
             raise FloatingPointError("non-finite loss or gradient")
         if groups is None:
-            return float(losses[0]), G[0]
-        return losses, G
+            return float(losses[0]), out
+        return losses, out
 
     def apply_update(self, w: np.ndarray, eta: float) -> None:
         """In-place step ``params <- params - eta * w``."""

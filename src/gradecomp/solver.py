@@ -160,9 +160,17 @@ def relax_basis(G_specific: np.ndarray, k: int | None = None) -> np.ndarray:
     return linalg.gram_pca(G_specific, k)
 
 
-def decomposed_update(bundle: GradientBundle, k: int | None = None) -> UpdateResult:
-    """The decomposed update rule: relax the specific basis, then solve."""
-    B = relax_basis(bundle.specific, k)
+def decomposed_update(
+    bundle: GradientBundle,
+    k: int | None = None,
+    workspace: linalg.Workspace | None = None,
+) -> UpdateResult:
+    """The decomposed update rule: relax the specific basis, then solve.
+
+    The specific matrix is written into ``workspace`` when one is given;
+    the basis is a new array, so the workspace is free again on return.
+    """
+    B = relax_basis(bundle.specific_in(workspace), k)
     return solve_update(bundle.new_grad, bundle.shared, B)
 
 

@@ -10,7 +10,10 @@ per layer), and applies it.  The averaged constraint (A-GEM) reads only
 the mean memory gradient, so for it the same pass runs without groups:
 the gradient of the mean loss over the stacked batch is that mean, and
 no per-memory rows are formed.  With no stored memories every method
-degenerates to plain SGD.
+degenerates to plain SGD.  The memory-gradient matrix and the specific
+matrix of each solve are written into buffers that live for the whole
+run (:class:`RunBuffers`), so a step does not return their pages to the
+system for the next step to fault back in.
 
 ``train_sequence`` makes one pass over each task's training data, then
 stores one episodic memory for the task in a plain list, in task order;
@@ -52,6 +55,7 @@ from . import layerwise as lw
 from . import memory as mem
 from . import solver
 from .decomp import GradientBundle, decompose, shared_gradient
+from .linalg import Workspace
 from .model import Batch, MlpModel, _is_count
 from .tasks import SCENARIO_SPLIT, TaskStream
 
@@ -234,6 +238,22 @@ class StepTrace:
     update_norm: float = 0.0
 
 
+@dataclass
+class RunBuffers:
+    """The step's two large arrays, kept for a whole training run.
+
+    ``grads`` holds the ``(m, n)`` memory-gradient matrix (one row, the
+    mean, for the averaged constraint) and ``specific`` each decomposed
+    solve's specific matrix, per segment in per-layer mode.  Each grows
+    only when a step needs more, so from step to step their pages stay
+    resident instead of being returned and faulted back in;
+    :func:`train_sequence` sizes ``specific`` for its last task up front.
+    """
+
+    grads: Workspace = field(default_factory=Workspace)
+    specific: Workspace = field(default_factory=Workspace)
+
+
 def _agem_rule(bundle: GradientBundle) -> solver.UpdateResult:
     """The averaged constraint; ``project_only`` when it leaves ``g`` as is."""
     g, g_bar = bundle.new_grad, bundle.shared
@@ -263,6 +283,7 @@ def _solve_for_variant(
     old: np.ndarray,
     sgem_rng: np.random.Generator,
     trace: StepTrace,
+    specific: Workspace,
 ) -> np.ndarray:
     """``old`` is the ``(m, n)`` memory-gradient matrix; for A-GEM it is
     the mean memory gradient alone."""
@@ -271,7 +292,7 @@ def _solve_for_variant(
 
     if variant.kind == KIND_OURS:
         bundle = decompose(g, old)
-        rule = partial(solver.decomposed_update, k=variant.pca_k)
+        rule = partial(solver.decomposed_update, k=variant.pca_k, workspace=specific)
     elif variant.kind == KIND_AGEM:
         bundle = GradientBundle(new_grad=g, shared=old)
         rule = _agem_rule
@@ -297,12 +318,17 @@ def train_step(
     mem_rng: np.random.Generator,
     sgem_rng: np.random.Generator,
     bs_old: int = 20,
+    buffers: RunBuffers | None = None,
 ) -> StepTrace:
     """One parameter update on a new-task batch under the given method.
 
     With no memories (or the plain fine-tuning method) this is one SGD
     step.  Any non-finite quantity aborts with ``FloatingPointError``.
+    ``buffers`` are the run's reused arrays; without them the step
+    makes its own.
     """
+    if buffers is None:
+        buffers = RunBuffers()
     trace = StepTrace()
     loss_new, g = model.loss_and_grad(new_batch)
     trace.loss_new = loss_new
@@ -315,12 +341,16 @@ def train_step(
             # the averaged constraint reads only the mean memory gradient:
             # with equal-sized groups it is the gradient of the mean loss
             # over the stacked batch, so no per-memory rows are formed
-            trace.loss_mem_mean, old = model.loss_and_grad(stacked)
+            out = buffers.grads.take((model.n_params,))
+            trace.loss_mem_mean, old = model.loss_and_grad(stacked, out=out)
         else:
-            losses, old = model.loss_and_grad(stacked, groups=len(memories))
+            out = buffers.grads.take((len(memories), model.n_params))
+            losses, old = model.loss_and_grad(stacked, groups=len(memories), out=out)
             trace.loss_mem_mean = float(np.mean(losses))
         start = time.perf_counter()
-        w = _solve_for_variant(variant, model, g, old, sgem_rng, trace)
+        w = _solve_for_variant(
+            variant, model, g, old, sgem_rng, trace, buffers.specific
+        )
         trace.solver_seconds = time.perf_counter() - start
         if not np.isfinite(w).all():
             raise FloatingPointError(
@@ -363,6 +393,17 @@ def train_sequence(
     sgem_rng = np.random.default_rng(cfg.seed + SEED_SGEM_CHOICE)
     split_rng = np.random.default_rng(cfg.seed + SEED_REPLAY_SPLIT)
 
+    buffers = RunBuffers()
+    if cfg.variant.kind == KIND_OURS and T > 1:
+        # the specific buffer is sized at once for T - 1 memories (a
+        # re-split into more parts still grows it), so it never moves and
+        # leaves no holes in the heap.  The gradient buffer grows task by
+        # task instead: each smaller one it frees lifts glibc's trim
+        # threshold above the step's fresh bases, even in a process's
+        # first run, where a buffer sized up front kept it low.
+        segments = model.layout.segments
+        width = max(s.length for s in segments) if cfg.variant.lgu else model.n_params
+        buffers.specific.take((T - 1, width))
     stored: list[mem.EpisodicMemory] = []
     R = np.full((T, T), np.nan)
     log: list[StepTrace] = []
@@ -383,6 +424,7 @@ def train_sequence(
                 mem_rng,
                 sgem_rng,
                 bs_old=cfg.bs_old,
+                buffers=buffers,
             )
             trace.task = t
             trace.iteration = iteration

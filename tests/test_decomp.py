@@ -149,3 +149,45 @@ class TestMatrixInput:
             shared_gradient(np.zeros((2, 3, 4)))
         with pytest.raises(ValueError):
             shared_gradient(np.zeros((0, 3)))
+
+
+class TestWorkspace:
+    """Only the training step writes into reused buffers; every public
+    call without a workspace returns fresh arrays."""
+
+    def test_public_calls_return_fresh_arrays(self):
+        from gradecomp.solver import relax_basis
+
+        rng = np.random.default_rng(208)
+        G = rng.standard_normal((5, 40))
+        bundle = decompose(rng.standard_normal(40), G)
+        first, second = bundle.specific, bundle.specific
+        assert not np.shares_memory(first, second)
+        assert not np.shares_memory(first, G)
+        assert not np.shares_memory(bundle.shared, G)
+        again = decompose(bundle.new_grad, G)
+        assert not np.shares_memory(again.shared, bundle.shared)
+        B1, B2 = relax_basis(first), relax_basis(first)
+        assert not np.shares_memory(B1, B2) and not np.shares_memory(B1, first)
+        assert not np.shares_memory(relax_basis(first, 2), first)
+
+    def test_specific_in_workspace_is_bit_identical(self):
+        rng = np.random.default_rng(209)
+        work = linalg.Workspace()
+        for m, dim in ((3, 50), (7, 20), (2, 400), (7, 20)):
+            G = rng.standard_normal((m, dim))
+            bundle = decompose(rng.standard_normal(dim), G)
+            S = bundle.specific_in(work)
+            assert S.shape == (dim, m) and S.flags.f_contiguous
+            assert S.tobytes("F") == bundle.specific.tobytes("F")
+        assert decompose(np.zeros(3), []).specific_in(work).shape == (3, 0)
+
+    def test_workspace_grows_only_when_needed(self):
+        work = linalg.Workspace()
+        a = work.take((4, 5))
+        assert a.shape == (4, 5) and a.flags.c_contiguous
+        b = work.take((2, 3))
+        assert np.shares_memory(a, b)  # smaller: the same buffer
+        c = work.take((30,))
+        assert not np.shares_memory(a, c)  # larger: a new buffer
+        assert np.shares_memory(c, work.take((5, 6)))

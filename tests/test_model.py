@@ -236,6 +236,78 @@ class TestStackedGroups:
             model.loss_and_grad(Batch(inputs, np.zeros(4, dtype=int)), groups=2)
 
 
+class TestOutBuffer:
+    """``loss_and_grad(..., out=buf)`` writes into ``buf`` and returns it."""
+
+    def test_out_is_returned_and_bit_identical(self):
+        rng = np.random.default_rng(512)
+        model = MlpModel([32, 100, 100, 3], seed=3)
+        for m in (1, 4, 19):
+            batch = random_batch(rng, m * 20, 32, 3)
+            losses, G = model.loss_and_grad(batch, groups=m)
+            buf = np.full((m, model.n_params), np.nan)
+            losses_out, G_out = model.loss_and_grad(batch, groups=m, out=buf)
+            assert G_out is buf
+            assert G_out.tobytes() == G.tobytes()
+            assert losses_out.tobytes() == losses.tobytes()
+        loss, g = model.loss_and_grad(batch)
+        vec = np.empty(model.n_params)
+        loss_out, g_out = model.loss_and_grad(batch, out=vec)
+        assert g_out is vec and loss_out == loss
+        assert g_out.tobytes() == g.tobytes()
+
+    @pytest.mark.parametrize(
+        "make",
+        [
+            lambda n: np.empty((3, n)),  # wrong row count
+            lambda n: np.empty((2, n + 1)),  # wrong width
+            lambda n: np.empty(2 * n),  # flat
+            lambda n: np.empty((2, n), dtype=np.float32),
+            lambda n: np.empty((2, n), order="F"),
+            lambda n: np.empty((2, 2 * n))[:, ::2],
+            lambda n: [[0.0] * n] * 2,  # no array
+        ],
+    )
+    def test_bad_out_rejected(self, make):
+        model = MlpModel([4, 5, 3], seed=0)
+        batch = random_batch(np.random.default_rng(0), 6, 4, 3)
+        with pytest.raises(ValueError, match="out must be"):
+            model.loss_and_grad(batch, groups=2, out=make(model.n_params))
+
+    def test_one_group_out_is_a_vector(self):
+        model = MlpModel([4, 5, 3], seed=0)
+        batch = random_batch(np.random.default_rng(0), 6, 4, 3)
+        with pytest.raises(ValueError, match="out must be"):
+            model.loss_and_grad(batch, out=np.empty((1, model.n_params)))
+
+    def test_calls_without_out_return_unaliased_arrays(self):
+        # the hidden activations are the model's scratch; nothing
+        # returned may share memory with it or with an earlier result
+        rng = np.random.default_rng(513)
+        model = MlpModel([8, 6, 5, 3], seed=1)
+        first, second = random_batch(rng, 12, 8, 3), random_batch(rng, 12, 8, 3)
+        losses_a, G_a = model.loss_and_grad(first, groups=3)
+        kept = G_a.copy(), losses_a.copy()
+        losses_b, G_b = model.loss_and_grad(second, groups=3)
+        assert not np.shares_memory(G_a, G_b)
+        assert not np.shares_memory(losses_a, losses_b)
+        assert G_a.tobytes() == kept[0].tobytes()
+        assert losses_a.tobytes() == kept[1].tobytes()
+        _, g = model.loss_and_grad(first)
+        assert not np.shares_memory(g, G_a) and not np.shares_memory(g, G_b)
+
+    def test_larger_then_smaller_batches_reuse_scratch_exactly(self):
+        # the scratch grows to the largest batch; a later, smaller batch
+        # must give the result of a model that never saw the large one
+        rng = np.random.default_rng(514)
+        model = MlpModel([8, 6, 5, 3], seed=1)
+        small, large = random_batch(rng, 5, 8, 3), random_batch(rng, 40, 8, 3)
+        ref_loss, ref_grad = model.clone().loss_and_grad(small)
+        model.loss_and_grad(large, groups=4)
+        loss, grad = model.loss_and_grad(small)
+        assert loss == ref_loss and grad.tobytes() == ref_grad.tobytes()
+
+
 class TestApplyUpdate:
     def test_zero_update_no_change(self):
         model = MlpModel([2, 3], seed=1)

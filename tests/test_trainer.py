@@ -6,10 +6,19 @@ and compares against the update the trainer actually applied.
 """
 
 import json
+import os
+import subprocess
+import sys
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
+
+try:
+    import resource
+except ImportError:  # not on every platform
+    resource = None
 
 from gradecomp import metrics, trainer
 from gradecomp.memory import update_memory
@@ -141,8 +150,8 @@ class TestTrainStep:
         last_len = model.layout.segments[-1].length
         real = solver.decomposed_update
 
-        def flagging(bundle, k=None):
-            res = real(bundle, k)
+        def flagging(bundle, k=None, workspace=None):
+            res = real(bundle, k, workspace)
             res.degenerate = bundle.dim == last_len
             return res
 
@@ -169,9 +178,9 @@ class TestTrainStep:
         calls = []
         real = MlpModel.loss_and_grad
 
-        def counting(self, batch, groups=None):
+        def counting(self, batch, groups=None, *, out=None):
             calls.append((len(batch), groups))
-            return real(self, batch, groups)
+            return real(self, batch, groups, out=out)
 
         monkeypatch.setattr(MlpModel, "loss_and_grad", counting)
         for variant, groups in ((variant_ours(), 3), (variant_agem(), None)):
@@ -295,6 +304,74 @@ class TestTrainSequence:
         # from task 2 onward the pooled buffer is split into 3 pseudo-tasks
         late = [t for t in log if t.task == 2 and t.per_layer_alignments is None]
         assert late
+
+
+FAULT_PROBE = """
+import json, resource, sys
+from gradecomp import tasks, trainer
+
+faults = []
+step = trainer.train_step
+
+
+def counted(*args, **kwargs):
+    before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+    try:
+        return step(*args, **kwargs)
+    finally:
+        faults.append(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
+
+
+trainer.train_step = counted
+stream = tasks.gen_permuted_tasks(tasks.gen_synthetic_base(3, 32, 50, seed=1), T=20, seed=2)
+variant = trainer.variant_from_name(sys.argv[1])
+trainer.train_sequence(stream, trainer.TrainConfig(seed=1, variant=variant))
+print(json.dumps(faults))
+"""
+
+
+class TestRunBuffers:
+    @pytest.mark.parametrize("name", ["b", "c", "d", "e", "f", "g", "gem", "sgem"])
+    def test_reused_buffers_give_the_same_steps(self, name):
+        # one RunBuffers across steps whose memory counts grow and shrink
+        # gives the parameters and traces of steps that allocate afresh
+        stream = make_stream(15, T=4)
+        stored = [update_memory(stream.tasks[t].train, m=8, task_id=t) for t in range(3)]
+        batch = Batch(stream.tasks[3].train.inputs[:6], stream.tasks[3].train.labels[:6])
+        variant = variant_from_name(name)
+        reused, fresh = MlpModel([8, 6, 5, 3], seed=8), MlpModel([8, 6, 5, 3], seed=8)
+        buffers = trainer.RunBuffers()
+        for count in (1, 3, 2, 3):
+            memories = stored[:count]
+            a = train_step(reused, batch, memories, variant, 0.1, *rngs(), buffers=buffers)
+            b = train_step(fresh, batch, memories, variant, 0.1, *rngs())
+            assert reused.params.tobytes() == fresh.params.tobytes()
+            a.solver_seconds = b.solver_seconds = 0.0
+            assert a == b
+
+    @pytest.mark.skipif(
+        resource is None or not sys.platform.startswith("linux"),
+        reason="counts minor page faults through getrusage on Linux",
+    )
+    @pytest.mark.parametrize("name", ["f", "b"])
+    def test_late_steps_take_no_page_faults(self, name):
+        # a fresh interpreter, so the heap history of earlier tests does
+        # not decide whether freed pages are returned to the system
+        import gradecomp
+
+        src = Path(gradecomp.__file__).resolve().parent.parent
+        proc = subprocess.run(
+            [sys.executable, "-c", FAULT_PROBE, name],
+            env={**os.environ, "PYTHONPATH": str(src)},
+            capture_output=True,
+            text=True,
+            timeout=300,
+        )
+        assert proc.returncode == 0, proc.stderr[-2000:]
+        faults = json.loads(proc.stdout)
+        steps = len(faults) // 20
+        late = faults[10 * steps:]
+        assert float(np.median(late)) <= 50, f"minor faults per step, tasks 10-19: {late}"
 
 
 class TestVariantEquivalences:
