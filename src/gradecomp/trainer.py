@@ -395,12 +395,12 @@ def train_sequence(
 
     buffers = RunBuffers()
     if cfg.variant.kind == KIND_OURS and T > 1:
-        # the specific buffer is sized at once for T - 1 memories (a
-        # re-split into more parts still grows it), so it never moves and
-        # leaves no holes in the heap.  The gradient buffer grows task by
-        # task instead: each smaller one it frees lifts glibc's trim
-        # threshold above the step's fresh bases, even in a process's
-        # first run, where a buffer sized up front kept it low.
+        # the widest solve's specific matrix for T - 1 memories, taken
+        # once (a re-split into more parts still grows it): grown task by
+        # task instead, it raised the benchmark's peak RSS by 0.6-2.4%.
+        # The gradient buffer does grow task by task: sized up front, it
+        # left a process's first run faulting in most late tasks (both
+        # measured in BENCH_19.json)
         segments = model.layout.segments
         width = max(s.length for s in segments) if cfg.variant.lgu else model.n_params
         buffers.specific.take((T - 1, width))
