@@ -9,15 +9,15 @@ only stored form of the memory gradients.
 
 The shared component is the plain mean of the rows; each specific
 component is that task's deviation from the mean.  The ``(n, m)``
-specific matrix ``(G - shared).T`` is worked out each time
-:attr:`GradientBundle.specific` is read, into a fresh array, or into a
-caller's :class:`linalg.Workspace` through
-:meth:`GradientBundle.specific_in`.  Its columns sum to the zero
-vector, so in exact arithmetic it has rank at most ``m - 1`` and its
-first ``m - 1`` columns span it; in floating point the last column adds
-only rounding noise, which is why the full constraint basis is built
-from those first ``m - 1`` columns, by :func:`linalg.orthonormal_basis`
-(see :func:`solver.relax_basis`).
+specific matrix ``(G - shared).T`` is worked out into a fresh array
+each time :attr:`GradientBundle.specific` is read; the training step
+forms it in the storage of ``G`` instead, through
+``solver.decomposed_update(..., overwrite=True)``.  Its columns sum to
+the zero vector, so in exact arithmetic it has rank at most ``m - 1``
+and its first ``m - 1`` columns span it; in floating point the last
+column adds only rounding noise, which is why the full constraint basis
+is built from those first ``m - 1`` columns, by
+:func:`linalg.orthonormal_basis` (see :func:`solver.relax_basis`).
 """
 
 from __future__ import annotations
@@ -79,15 +79,9 @@ class GradientBundle:
     def specific(self) -> np.ndarray:
         """The ``(n, m)`` specific matrix: column ``i`` is ``old_grads[i] -
         shared``; ``(n, 0)`` when ``shared`` is ``None``."""
-        return self.specific_in(None)
-
-    def specific_in(self, workspace: linalg.Workspace | None) -> np.ndarray:
-        """:attr:`specific`, written into ``workspace`` when one is given
-        (the next use of the workspace overwrites it), else a fresh array."""
         if self.shared is None:
             return linalg.empty_basis(self.dim)
-        out = None if workspace is None else workspace.take(self.old_grads.shape)
-        return np.subtract(self.old_grads, self.shared, out=out).T
+        return (self.old_grads - self.shared).T
 
 
 def decompose(new_grad: np.ndarray, old_grads) -> GradientBundle:

@@ -99,7 +99,8 @@ def layerwise_solve(
     ``(m, n)`` old-task matrix restricted to that segment's coordinates:
     one slice of each, the old-task one an ``(m, length)`` view.  A rule
     that reads the segment's specific matrix gets it from those two
-    slices (the mean and the subtraction commute with slicing).  The
+    slices (the mean and the subtraction commute with slicing); one that
+    overwrites ``old_grads`` writes only its segment's columns.  The
     per-segment updates are concatenated in layout order; the alignment
     is summed and the branch is ``project_only`` only if every segment
     projected.

@@ -161,16 +161,25 @@ def relax_basis(G_specific: np.ndarray, k: int | None = None) -> np.ndarray:
 
 
 def decomposed_update(
-    bundle: GradientBundle,
-    k: int | None = None,
-    workspace: linalg.Workspace | None = None,
+    bundle: GradientBundle, k: int | None = None, *, overwrite: bool = False
 ) -> UpdateResult:
     """The decomposed update rule: relax the specific basis, then solve.
 
-    The specific matrix is written into ``workspace`` when one is given;
-    the basis is a new array, so the workspace is free again on return.
+    With ``overwrite`` the specific matrix is formed in the storage of
+    ``bundle.old_grads``, as scipy's ``overwrite_a`` allows: the rows
+    become their deviations ``G - shared``, which no later step of the
+    rule reads, and no ``(m, n)`` array is made.  Otherwise
+    ``old_grads`` is left as it is and the specific matrix is a new
+    array.  The update is the same bit for bit either way.  Raises
+    ``ValueError`` on a bundle with no old-task gradients.
     """
-    B = relax_basis(bundle.specific_in(workspace), k)
+    if bundle.shared is None:
+        raise ValueError("bundle has no old-task gradients to constrain against")
+    if overwrite:
+        specific = np.subtract(bundle.old_grads, bundle.shared, out=bundle.old_grads).T
+    else:
+        specific = bundle.specific
+    B = relax_basis(specific, k)
     return solve_update(bundle.new_grad, bundle.shared, B)
 
 

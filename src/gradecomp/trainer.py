@@ -10,10 +10,10 @@ per layer), and applies it.  The averaged constraint (A-GEM) reads only
 the mean memory gradient, so for it the same pass runs without groups:
 the gradient of the mean loss over the stacked batch is that mean, and
 no per-memory rows are formed.  With no stored memories every method
-degenerates to plain SGD.  The memory-gradient matrix and the specific
-matrix of each solve are written into buffers that live for the whole
-run (:class:`RunBuffers`), so a step does not return their pages to the
-system for the next step to fault back in.
+degenerates to plain SGD.  The memory-gradient matrix is written into a
+buffer that lives for the whole run, and the decomposed rule forms its
+specific matrix in that matrix's storage, so a step does not return
+their pages to the system for the next step to fault back in.
 
 ``train_sequence`` makes one pass over each task's training data, then
 stores one episodic memory for the task in a plain list, in task order;
@@ -238,22 +238,6 @@ class StepTrace:
     update_norm: float = 0.0
 
 
-@dataclass
-class RunBuffers:
-    """The step's two large arrays, kept for a whole training run.
-
-    ``grads`` holds the ``(m, n)`` memory-gradient matrix (one row, the
-    mean, for the averaged constraint) and ``specific`` each decomposed
-    solve's specific matrix, per segment in per-layer mode.  Each grows
-    only when a step needs more, so from step to step their pages stay
-    resident instead of being returned and faulted back in;
-    :func:`train_sequence` sizes ``specific`` for its last task up front.
-    """
-
-    grads: Workspace = field(default_factory=Workspace)
-    specific: Workspace = field(default_factory=Workspace)
-
-
 def _agem_rule(bundle: GradientBundle) -> solver.UpdateResult:
     """The averaged constraint; ``project_only`` when it leaves ``g`` as is."""
     g, g_bar = bundle.new_grad, bundle.shared
@@ -283,16 +267,16 @@ def _solve_for_variant(
     old: np.ndarray,
     sgem_rng: np.random.Generator,
     trace: StepTrace,
-    specific: Workspace,
 ) -> np.ndarray:
     """``old`` is the ``(m, n)`` memory-gradient matrix; for A-GEM it is
-    the mean memory gradient alone."""
+    the mean memory gradient alone.  The decomposed rule overwrites it
+    with the specific matrix."""
     if variant.kind == KIND_SGEM:
         return solver.sgem_update(g, old, sgem_rng)
 
     if variant.kind == KIND_OURS:
         bundle = decompose(g, old)
-        rule = partial(solver.decomposed_update, k=variant.pca_k, workspace=specific)
+        rule = partial(solver.decomposed_update, k=variant.pca_k, overwrite=True)
     elif variant.kind == KIND_AGEM:
         bundle = GradientBundle(new_grad=g, shared=old)
         rule = _agem_rule
@@ -318,17 +302,17 @@ def train_step(
     mem_rng: np.random.Generator,
     sgem_rng: np.random.Generator,
     bs_old: int = 20,
-    buffers: RunBuffers | None = None,
+    grads: Workspace | None = None,
 ) -> StepTrace:
     """One parameter update on a new-task batch under the given method.
 
     With no memories (or the plain fine-tuning method) this is one SGD
     step.  Any non-finite quantity aborts with ``FloatingPointError``.
-    ``buffers`` are the run's reused arrays; without them the step
-    makes its own.
+    ``grads`` is the run's reused buffer for the memory-gradient matrix;
+    without it the step makes its own.
     """
-    if buffers is None:
-        buffers = RunBuffers()
+    if grads is None:
+        grads = Workspace()
     trace = StepTrace()
     loss_new, g = model.loss_and_grad(new_batch)
     trace.loss_new = loss_new
@@ -341,16 +325,14 @@ def train_step(
             # the averaged constraint reads only the mean memory gradient:
             # with equal-sized groups it is the gradient of the mean loss
             # over the stacked batch, so no per-memory rows are formed
-            out = buffers.grads.take((model.n_params,))
+            out = grads.take((model.n_params,))
             trace.loss_mem_mean, old = model.loss_and_grad(stacked, out=out)
         else:
-            out = buffers.grads.take((len(memories), model.n_params))
+            out = grads.take((len(memories), model.n_params))
             losses, old = model.loss_and_grad(stacked, groups=len(memories), out=out)
             trace.loss_mem_mean = float(np.mean(losses))
         start = time.perf_counter()
-        w = _solve_for_variant(
-            variant, model, g, old, sgem_rng, trace, buffers.specific
-        )
+        w = _solve_for_variant(variant, model, g, old, sgem_rng, trace)
         trace.solver_seconds = time.perf_counter() - start
         if not np.isfinite(w).all():
             raise FloatingPointError(
@@ -393,17 +375,7 @@ def train_sequence(
     sgem_rng = np.random.default_rng(cfg.seed + SEED_SGEM_CHOICE)
     split_rng = np.random.default_rng(cfg.seed + SEED_REPLAY_SPLIT)
 
-    buffers = RunBuffers()
-    if cfg.variant.kind == KIND_OURS and T > 1:
-        # the widest solve's specific matrix for T - 1 memories, taken
-        # once (a re-split into more parts still grows it): grown task by
-        # task instead, it raised the benchmark's peak RSS by 0.6-2.4%.
-        # The gradient buffer does grow task by task: sized up front, it
-        # left a process's first run faulting in most late tasks (both
-        # measured in BENCH_19.json)
-        segments = model.layout.segments
-        width = max(s.length for s in segments) if cfg.variant.lgu else model.n_params
-        buffers.specific.take((T - 1, width))
+    grads = Workspace()
     stored: list[mem.EpisodicMemory] = []
     R = np.full((T, T), np.nan)
     log: list[StepTrace] = []
@@ -424,7 +396,7 @@ def train_sequence(
                 mem_rng,
                 sgem_rng,
                 bs_old=cfg.bs_old,
-                buffers=buffers,
+                grads=grads,
             )
             trace.task = t
             trace.iteration = iteration

@@ -28,6 +28,13 @@ class SuiteResult:
     failing_case: dict | None = field(default=None, repr=False)
 
 
+def _failed(name: str, i: int, detail: str, **case) -> SuiteResult:
+    """A suite stopped at its instance ``i``; ``case`` replays it, with
+    its arrays as lists."""
+    case = {k: v.tolist() if isinstance(v, np.ndarray) else v for k, v in case.items()}
+    return SuiteResult(name, False, i + 1, detail, {"instance": i, **case})
+
+
 def _random_bundle(rng: np.random.Generator, dim: int, n_mem: int):
     old = [rng.standard_normal(dim) for _ in range(n_mem)]
     g = rng.standard_normal(dim)
@@ -88,18 +95,11 @@ def suite_solver_vs_oracle() -> SuiteResult:
         rel = float(np.linalg.norm(res.w - w_ref)) / denom
         worst[family] = max(worst[family], rel)
         if rel > rel_tol:
-            return SuiteResult(
-                name="solver_vs_oracle",
-                passed=False,
-                checked=i + 1,
-                detail=f"relative gap {rel:.3e} > {rel_tol:.0e} on {family} instance {i}",
-                failing_case={
-                    "instance": i,
-                    "g": bundle.new_grad.tolist(),
-                    "old_grads": bundle.old_grads.tolist(),
-                    "w_solver": res.w.tolist(),
-                    "w_oracle": w_ref.tolist(),
-                },
+            return _failed(
+                "solver_vs_oracle", i,
+                f"relative gap {rel:.3e} > {rel_tol:.0e} on {family} instance {i}",
+                g=bundle.new_grad, old_grads=bundle.old_grads,
+                w_solver=res.w, w_oracle=w_ref,
             )
     detail = (
         f"max relative gap {worst['random']:.3e} (random), "
@@ -131,12 +131,9 @@ def suite_projection_psd() -> SuiteResult:
         floor = -1e-10 * float(v @ v)
         worst = min(worst, quad)
         if quad < floor:
-            return SuiteResult(
-                name="projection_psd",
-                passed=False,
-                checked=i + 1,
-                detail=f"v'Pv = {quad:.3e} below {floor:.3e} on instance {i}",
-                failing_case={"instance": i, "B": B.tolist(), "v": v.tolist()},
+            return _failed(
+                "projection_psd", i,
+                f"v'Pv = {quad:.3e} below {floor:.3e} on instance {i}", B=B, v=v,
             )
     return SuiteResult(
         "projection_psd", True, n_instances, f"min v'Pv = {worst:.3e} (>= -1e-10 ||v||^2)"
@@ -161,18 +158,11 @@ def suite_decomposition_zero_sum() -> SuiteResult:
         rank = linalg.modified_gram_schmidt(bundle.specific).shape[1]
         ok = rel < 1e-10 and rank <= max(0, n_mem - 1)
         if not ok:
-            return SuiteResult(
-                name="decomposition_zero_sum",
-                passed=False,
-                checked=i + 1,
-                detail=(
-                    f"zero-sum residual {rel:.3e} or rank {rank} > {n_mem - 1} "
-                    f"on instance {i}"
-                ),
-                failing_case={
-                    "instance": i,
-                    "old_grads": bundle.old_grads.tolist(),
-                },
+            return _failed(
+                "decomposition_zero_sum", i,
+                f"zero-sum residual {rel:.3e} or rank {rank} > {n_mem - 1} "
+                f"on instance {i}",
+                old_grads=bundle.old_grads,
             )
     return SuiteResult(
         "decomposition_zero_sum", True, n_instances, f"max zero-sum residual {worst:.3e}"
@@ -227,23 +217,13 @@ def suite_gradient_check() -> SuiteResult:
         worst = max(worst, rel)
         worst_alone = max(worst_alone, rel_alone)
         if rel > 1e-4 or rel_alone > 1e-13:
-            return SuiteResult(
-                name="gradient_check",
-                passed=False,
-                checked=i + 1,
-                detail=(
-                    f"max relative error {rel:.3e} against finite differences "
-                    f"(limit 1e-4), {rel_alone:.3e} against single-group "
-                    f"passes (limit 1e-13) on model {i}"
-                ),
-                failing_case={
-                    "instance": i,
-                    "layer_sizes": sizes,
-                    "model_seed": model.seed,
-                    "groups": groups,
-                    "inputs": batch.inputs.tolist(),
-                    "labels": batch.labels.tolist(),
-                },
+            return _failed(
+                "gradient_check", i,
+                f"max relative error {rel:.3e} against finite differences "
+                f"(limit 1e-4), {rel_alone:.3e} against single-group "
+                f"passes (limit 1e-13) on model {i}",
+                layer_sizes=sizes, model_seed=model.seed, groups=groups,
+                inputs=batch.inputs, labels=batch.labels,
             )
     return SuiteResult(
         "gradient_check",
@@ -275,19 +255,11 @@ def suite_constraint_feasibility() -> SuiteResult:
         worst_ineq = min(worst_ineq, ineq / max(norm_bar * norm_g, 1e-12))
         ok = eq <= 1e-8 * norm_g and ineq >= -1e-8 * norm_bar * norm_g
         if not ok:
-            return SuiteResult(
-                name="constraint_feasibility",
-                passed=False,
-                checked=i + 1,
-                detail=(
-                    f"|B'w|={eq:.3e} or shared alignment {ineq:.3e} out of "
-                    f"tolerance on {family} instance {i}"
-                ),
-                failing_case={
-                    "instance": i,
-                    "g": bundle.new_grad.tolist(),
-                    "old_grads": bundle.old_grads.tolist(),
-                },
+            return _failed(
+                "constraint_feasibility", i,
+                f"|B'w|={eq:.3e} or shared alignment {ineq:.3e} out of "
+                f"tolerance on {family} instance {i}",
+                g=bundle.new_grad, old_grads=bundle.old_grads,
             )
     return SuiteResult(
         "constraint_feasibility",
@@ -402,16 +374,8 @@ def suite_basis_adversarial(basis_fn: Callable = None) -> SuiteResult:
                         f"rel_tol {rel_tol:.0e}"
                     )
         if problem is not None:
-            return SuiteResult(
-                name=name,
-                passed=False,
-                checked=i + 1,
-                detail=f"{family} instance {i}: {problem}",
-                failing_case={
-                    "instance": i,
-                    "family": family,
-                    "X": X.tolist(),
-                },
+            return _failed(
+                name, i, f"{family} instance {i}: {problem}", family=family, X=X
             )
     return SuiteResult(
         name,
@@ -505,17 +469,9 @@ def suite_gem_exact() -> SuiteResult:
                 if gap > 1e-9:
                     problem = f"{gap:.3e} ||g|| from the enumerated optimum (limit 1e-9)"
         if problem is not None:
-            return SuiteResult(
-                name="gem_exact",
-                passed=False,
-                checked=i + 1,
-                detail=f"{family} instance {i}: {problem}",
-                failing_case={
-                    "instance": i,
-                    "family": family,
-                    "g": g.tolist(),
-                    "old_grads": G.tolist(),
-                },
+            return _failed(
+                "gem_exact", i, f"{family} instance {i}: {problem}",
+                family=family, g=g, old_grads=G,
             )
     return SuiteResult(
         "gem_exact",

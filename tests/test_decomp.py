@@ -171,16 +171,41 @@ class TestWorkspace:
         assert not np.shares_memory(B1, B2) and not np.shares_memory(B1, first)
         assert not np.shares_memory(relax_basis(first, 2), first)
 
-    def test_specific_in_workspace_is_bit_identical(self):
+    def test_overwrite_is_bit_identical(self):
+        # overwrite=True forms the specific matrix in the storage of
+        # old_grads, whole-vector or one segment's columns at a time; the
+        # update is the one overwrite=False gives, which leaves G as it is
+        from gradecomp.layerwise import ParamLayout, layerwise_solve
+        from gradecomp.solver import decomposed_update
+
+        def fields(res):
+            return res.w.tobytes(), res.branch, res.shared_alignment
+
         rng = np.random.default_rng(209)
-        work = linalg.Workspace()
-        for m, dim in ((3, 50), (7, 20), (2, 400), (7, 20)):
-            G = rng.standard_normal((m, dim))
-            bundle = decompose(rng.standard_normal(dim), G)
-            S = bundle.specific_in(work)
-            assert S.shape == (dim, m) and S.flags.f_contiguous
-            assert S.tobytes("F") == bundle.specific.tobytes("F")
-        assert decompose(np.zeros(3), []).specific_in(work).shape == (3, 0)
+        layout = ParamLayout.from_lengths([("a", 30), ("b", 7), ("c", 13)])
+        branches = set()
+        for m in (2, 3, 7, 7, 7):
+            G = rng.standard_normal((m, layout.total))
+            g = rng.standard_normal(layout.total)
+            for k in (None, 2):
+                for solve in (
+                    lambda b, **kw: decomposed_update(b, k, **kw),
+                    lambda b, **kw: layerwise_solve(
+                        b, layout, lambda s: decomposed_update(s, k, **kw)
+                    ),
+                ):
+                    kept, spent = decompose(g, G.copy()), decompose(g, G.copy())
+                    a, b = solve(kept), solve(spent, overwrite=True)
+                    assert fields(a) == fields(b)
+                    for (_, ra), (_, rb) in zip(a.per_layer or (), b.per_layer or ()):
+                        assert fields(ra) == fields(rb)
+                    assert kept.old_grads.tobytes() == G.tobytes()
+                    assert spent.old_grads.tobytes() == (G - kept.shared).tobytes()
+                    branches.add(a.branch)
+        assert len(branches) == 2  # both branches of the solve were checked
+        for overwrite in (False, True):
+            with pytest.raises(ValueError, match="no old-task gradients"):
+                decomposed_update(decompose(g, []), overwrite=overwrite)
 
     def test_workspace_grows_only_when_needed(self):
         work = linalg.Workspace()

@@ -343,6 +343,62 @@ class TestOrthonormalBasis:
         with pytest.raises(ValueError, match="finite"):
             linalg.orthonormal_basis(X)
 
+    def test_two_pass_bases_are_fresh_arrays(self):
+        # the first of two Gram passes goes into a reused per-thread
+        # buffer; each basis returned is a new array, with the same bits
+        # whatever an earlier call left in that buffer
+        rng = np.random.default_rng(148)
+        X, Y = (rng.standard_normal(shape) for shape in ((60, 4), (300, 9)))
+        X[:, -1] *= 1e-2
+        Y[:, -1] *= 1e-2
+        for Z in (X, Y):
+            assert linalg.ONE_PASS_LOSS * np.finfo(float).eps * np.linalg.cond(Z) ** 2 > (
+                linalg.ORTH_TOL
+            )
+        first = linalg.orthonormal_basis(X)
+        linalg.orthonormal_basis(Y)  # a larger first pass in between
+        again = linalg.orthonormal_basis(X)
+        assert first.tobytes() == again.tobytes()
+        scratch = linalg._SCRATCH.first_pass.take((9, 300))
+        for B in (first, again):
+            assert not np.shares_memory(B, scratch)
+        assert not np.shares_memory(first, again)
+
+    def test_threads_keep_their_own_first_pass(self):
+        # BLAS runs without the interpreter lock, so threads sharing one
+        # first-pass buffer would overwrite each other's first pass
+        import sys
+        import threading
+
+        rng = np.random.default_rng(149)
+        inputs = []
+        for n in (400, 300, 500, 350):
+            X = rng.standard_normal((n, 12))
+            X[:, -1] *= 1e-2  # two passes
+            inputs.append(X)
+        expected = [linalg.orthonormal_basis(X).tobytes() for X in inputs]
+        mismatches = []
+
+        def work(X, want):
+            for _ in range(30):
+                if linalg.orthonormal_basis(X).tobytes() != want:
+                    mismatches.append(X.shape)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [
+                threading.Thread(target=work, args=pair) for pair in zip(inputs, expected)
+            ]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert mismatches == []
+
     def test_empty_input(self):
         assert linalg.orthonormal_basis(np.zeros((4, 0))).shape == (4, 0)
 

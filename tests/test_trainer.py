@@ -22,6 +22,7 @@ except ImportError:  # not on every platform
     resource = None
 
 from gradecomp import metrics, trainer
+from gradecomp.linalg import Workspace
 from gradecomp.memory import update_memory
 from gradecomp.model import Batch, MlpModel
 from gradecomp.tasks import gen_permuted_tasks, gen_synthetic_base
@@ -151,8 +152,8 @@ class TestTrainStep:
         last_len = model.layout.segments[-1].length
         real = solver.decomposed_update
 
-        def flagging(bundle, k=None, workspace=None):
-            res = real(bundle, k, workspace)
+        def flagging(bundle, k=None, **kwargs):
+            res = real(bundle, k, **kwargs)
             res.degenerate = bundle.dim == last_len
             return res
 
@@ -334,17 +335,17 @@ print(json.dumps(faults))
 class TestRunBuffers:
     @pytest.mark.parametrize("name", ["b", "c", "d", "e", "f", "g", "gem", "sgem"])
     def test_reused_buffers_give_the_same_steps(self, name):
-        # one RunBuffers across steps whose memory counts grow and shrink
-        # gives the parameters and traces of steps that allocate afresh
+        # one gradient buffer across steps whose memory counts grow and
+        # shrink gives the parameters and traces of steps that allocate afresh
         stream = make_stream(15, T=4)
         stored = [update_memory(stream.tasks[t].train, m=8, task_id=t) for t in range(3)]
         batch = Batch(stream.tasks[3].train.inputs[:6], stream.tasks[3].train.labels[:6])
         variant = variant_from_name(name)
         reused, fresh = MlpModel([8, 6, 5, 3], seed=8), MlpModel([8, 6, 5, 3], seed=8)
-        buffers = trainer.RunBuffers()
+        grads = Workspace()
         for count in (1, 3, 2, 3):
             memories = stored[:count]
-            a = train_step(reused, batch, memories, variant, 0.1, *rngs(), buffers=buffers)
+            a = train_step(reused, batch, memories, variant, 0.1, *rngs(), grads=grads)
             b = train_step(fresh, batch, memories, variant, 0.1, *rngs())
             assert reused.params.tobytes() == fresh.params.tobytes()
             a.solver_seconds = b.solver_seconds = 0.0
