@@ -381,6 +381,11 @@ def write_run_log(path: Path, log: list[trainer.StepTrace]) -> None:
             fh.write(json.dumps(record, sort_keys=True) + "\n")
 
 
+def _write_json(path: Path, obj) -> None:
+    """``obj`` as indented JSON with sorted keys and a final newline."""
+    path.write_text(json.dumps(obj, sort_keys=True, indent=2) + "\n", encoding="utf-8")
+
+
 def _now() -> str:
     return datetime.now(timezone.utc).isoformat()
 
@@ -420,9 +425,7 @@ def run_one_variant(
             "solver_seconds_mean": solver_total / max(len(log), 1),
         },
     }
-    summary_path.write_text(
-        json.dumps(summary, sort_keys=True, indent=2) + "\n", encoding="utf-8"
-    )
+    _write_json(summary_path, summary)
     manifest = {
         "code_version": __version__,
         "variant": variant_name,
@@ -436,9 +439,7 @@ def run_one_variant(
             "run_log_jsonl": str(log_path),
         },
     }
-    manifest_path.write_text(
-        json.dumps(manifest, sort_keys=True, indent=2) + "\n", encoding="utf-8"
-    )
+    _write_json(manifest_path, manifest)
     return summary
 
 
@@ -526,9 +527,7 @@ def cmd_sweep_k(args) -> int:
         "config": config,
         "outputs": {"sweep_csv": str(csv_path)},
     }
-    (out_root / "sweep_manifest.json").write_text(
-        json.dumps(manifest, sort_keys=True, indent=2) + "\n", encoding="utf-8"
-    )
+    _write_json(out_root / "sweep_manifest.json", manifest)
     print(f"sweep written to {csv_path}")
     return 0
 
@@ -544,10 +543,7 @@ def cmd_verify(args) -> int:
             if res.failing_case is not None:
                 out = Path(args.out_dir) / f"verify_failed_{res.name}.json"
                 out.parent.mkdir(parents=True, exist_ok=True)
-                out.write_text(
-                    json.dumps(res.failing_case, sort_keys=True, indent=2) + "\n",
-                    encoding="utf-8",
-                )
+                _write_json(out, res.failing_case)
                 print(f"     failing instance written to {out}")
     print(f"{len(results) - failures}/{len(results)} property suites passed")
     return 0 if failures == 0 else 1

@@ -16,7 +16,8 @@ forms it in the storage of ``G`` instead, through
 the zero vector, so in exact arithmetic it has rank at most ``m - 1``
 and its first ``m - 1`` columns span it; in floating point the last
 column adds only rounding noise, which is why the full constraint basis
-is built from those first ``m - 1`` columns, by
+is built from those first ``m - 1`` columns.  The relaxed basis, its
+top-k principal directions, reads all ``m``.  Both come from
 :func:`linalg.orthonormal_basis` (see :func:`solver.relax_basis`).
 """
 

@@ -1,33 +1,35 @@
-"""Dense linear-algebra kernels: orthonormalization with rank detection,
-Gram-matrix PCA (through LAPACK's symmetric eigensolver), and
-matrix-free null-space projection.
+"""Dense linear-algebra kernels: orthonormal bases with rank detection,
+full or cut to the top-k principal directions, and matrix-free
+null-space projection.
 
-Two routes build an orthonormal basis of a column collection, and
-``orthonormal_basis``, the kernel training uses, picks one by this rule:
+``orthonormal_basis(X, k=None)`` is the one Gram kernel: it forms the
+small Gram matrix ``X'X`` once, checks once that it is finite, and takes
+one ``eigh`` of it.  Two routes then build the full basis (``k`` is
+``None``), and one cut builds the principal basis:
 
-* The Gram route works through the small Gram matrix ``X'X`` (CholeskyQR
-  with an eigensolver in place of the Cholesky factor, run twice when
-  needed; Fukaya et al., 2014): one small ``eigh``, then ``_map_back``,
-  two tall products per pass where a QR makes a Householder sweep over
-  the rows.  ``orthonormal_basis`` maps back every eigenvector, so it
-  takes this route only where ``sigma_min / sigma_max`` of ``X``, read
-  off the eigenvalues, exceeds ``GRAM_RATIO_FLOOR``.  There every
-  Gram-Schmidt residual is at least ``sigma_min``, and the floor is
-  above ``DEFAULT_RANK_TOL``, so the QR would keep every column too.
-  The floor also holds the route to the bars of
-  ``verify.suite_basis_adversarial``: its span error is bounded by about
-  ``eps * kappa`` of the largest column, 2e-12 at the floor (measured:
-  1.4e-15), and one pass leaves ``|B'B - I|`` below about 1.4e-7, from
-  which the second pass reaches working precision.  ``gram_pca`` maps
-  back only the top ``K`` eigenvectors, the principal directions.
-* ``modified_gram_schmidt`` takes every other input of
-  ``orthonormal_basis`` (rank deficient or nearly so, wide, empty,
-  non-finite, or so small that its Gram matrix underflows).  It keeps
-  the Gram-Schmidt contract (columns taken left to right, a column
+* The Gram route maps eigenpairs back through ``X`` (CholeskyQR with an
+  eigensolver in place of the Cholesky factor, run twice when needed;
+  Fukaya et al., 2014): ``_map_back``, two tall products per pass where
+  a QR makes a Householder sweep over the rows.  The full basis maps
+  back every eigenvector, so it takes this route only where
+  ``sigma_min / sigma_max`` of ``X``, read off the eigenvalues, exceeds
+  ``GRAM_RATIO_FLOOR``.  There every Gram-Schmidt residual is at least
+  ``sigma_min``, and the floor is above ``DEFAULT_RANK_TOL``, so the QR
+  would keep every column too.  The floor also holds the route to the
+  bars of ``verify.suite_basis_adversarial``: its span error is bounded
+  by about ``eps * kappa`` of the largest column, 2e-12 at the floor
+  (measured: 1.4e-15), and one pass leaves ``|B'B - I|`` below about
+  1.4e-7, from which the second pass reaches working precision.
+* ``modified_gram_schmidt`` takes every other full basis (rank deficient
+  or nearly so, wide, or so small that its Gram matrix underflows).  It
+  keeps the Gram-Schmidt contract (columns taken left to right, a column
   dropped when its residual against the kept ones falls below
   ``DEFAULT_RANK_TOL`` times the largest column norm) but computes it
   with numpy's Householder QR of the input; no Python loop runs over
   the rows.  It is accurate whatever the conditioning.
+* The k cut keeps the top ``min(k, #lam > DEFAULT_RANK_TOL * lam_max)``
+  eigenpairs, dominant first, and maps them back on the Gram route; it
+  never takes the QR, which would keep the whole span.
 
 ``Workspace`` is the grow-only buffer the training loop, the model and
 the Gram route's first pass write their large per-step arrays into.
@@ -235,72 +237,63 @@ def _map_back(X, lam, V) -> np.ndarray:
     return (inv_sqrt.T @ B.T).T
 
 
-def orthonormal_basis(X) -> np.ndarray:
-    """Orthonormal basis of the column space of ``X``: through its Gram
-    matrix when ``X`` is well conditioned, else ``modified_gram_schmidt``.
+def orthonormal_basis(X, k: int | None = None) -> np.ndarray:
+    """Orthonormal basis of the column space of ``X`` from its Gram
+    matrix: all of it when ``k`` is ``None``, else its top-``k``
+    principal directions.
 
-    1. ``lam, V = eigh(X'X)``.
-    2. When ``sigma_min / sigma_max = sqrt(lam_min / lam_max)`` is at most
-       ``GRAM_RATIO_FLOOR``, the eigenvalues are not finite (``eigh``
-       raises on non-finite input), or ``lam_min`` is near underflow,
-       return ``modified_gram_schmidt(X)``: its rank contract and its
-       ``ValueError`` on non-finite or overflowing input hold as they
-       are.
-    3. Otherwise map every eigenvector back through ``X`` with
-       :func:`_map_back`: every column is kept, as the QR would keep it.
+    1. ``lam, V = eigh(X'X)``, after one check that ``X'X`` is finite.
+    2. ``k`` is ``None``: when ``sigma_min / sigma_max = sqrt(lam_min /
+       lam_max)`` is at most ``GRAM_RATIO_FLOOR``, ``lam_min`` is near
+       underflow or ``eigh`` fails, return ``modified_gram_schmidt(X)``,
+       whose rank contract decides the kept columns.  Otherwise map every
+       eigenvector back through ``X`` with :func:`_map_back`: every
+       column is kept, as the QR would keep it.
+    3. ``k`` given: keep the top ``min(k, #lam > DEFAULT_RANK_TOL *
+       lam_max)`` eigenpairs, dominant first (eigenvalues at or below the
+       cut-off are rank deficiency), and map them back with
+       :func:`_map_back`.  A Gram matrix near underflow is formed again
+       from ``X`` scaled up by a power of two, which keeps its span.  The
+       QR never takes this path: it would keep the whole span, so a
+       failing ``eigh`` raises its ``LinAlgError``.
 
-    Returns an ``(n_rows, k)`` matrix with orthonormal columns spanning
-    those of ``X``; the Gram route picks its own directions within that
-    span.  ``X`` is never modified.
+    Returns an ``(n_rows, r)`` matrix with orthonormal columns spanning
+    those of ``X`` (``r`` at most ``k``); the Gram mapping picks its own
+    directions within that span, each defined up to its sign.  Empty input
+    gives a zero-column basis.  ``X`` is never modified.  Raises
+    ``ValueError`` on ``k < 1``, on non-finite input and on a Gram matrix
+    that overflows float64 (entries above about 1e150).
     """
+    if k is not None and k < 1:
+        raise ValueError(f"k must be at least 1, got {k!r}")
     X = _as_matrix(X)
     if X.shape[1] == 0:
-        return modified_gram_schmidt(X)
-    try:
-        lam, V = np.linalg.eigh(X.T @ X)
-    except np.linalg.LinAlgError:
-        return modified_gram_schmidt(X)
-    # NaN fails the comparison, and an infinite lam_max makes the floor inf
-    floor = GRAM_RATIO_FLOOR**2 * lam[-1]
-    if not lam[0] > max(floor, _GRAM_UNDERFLOW):
-        return modified_gram_schmidt(X)
-    return _map_back(X, lam, V)
-
-
-def gram_pca(G, K: int) -> np.ndarray:
-    """Top-``K`` orthonormal principal directions of the column space of ``G``.
-
-    Eigendecomposes the small Gram matrix ``G'G`` and keeps its top
-    ``min(K, #lam > DEFAULT_RANK_TOL * lam_max)`` eigenpairs, dominant
-    first; eigenvalues at or below the cut-off are rank deficiency.
-    :func:`_map_back` maps them back through ``G``, so the result has
-    ``min(K, numerical rank of G)`` columns, each defined up to its
-    sign.  A Gram matrix near underflow is formed again from ``G`` scaled
-    up by a power of two, which keeps its span.  Raises ``ValueError`` on
-    non-finite input and on a Gram matrix that overflows float64.
-    """
-    if K < 1:
-        raise ValueError("K must be at least 1")
-    G = _as_matrix(G)
-    n_rows, n_cols = G.shape
-    if n_cols == 0:
-        return empty_basis(n_rows)
-    if not np.isfinite(G).all():
-        raise ValueError("input columns must be finite")
-    gram = G.T @ G
+        return empty_basis(X.shape[0])
+    gram = X.T @ X
     if not np.isfinite(gram).all():
+        if not np.isfinite(X).all():
+            raise ValueError("input columns must be finite")
         raise ValueError(_OVERFLOW)
+    try:
+        lam, V = np.linalg.eigh(gram)
+    except np.linalg.LinAlgError:
+        if k is not None:
+            raise
+        return modified_gram_schmidt(X)
 
-    lam, V = np.linalg.eigh(gram)
+    if k is None:
+        if not lam[0] > max(GRAM_RATIO_FLOOR**2 * lam[-1], _GRAM_UNDERFLOW):
+            return modified_gram_schmidt(X)
+        return _map_back(X, lam, V)
     # eigh sorts ascending; take the principal directions first
     lam, V = lam[::-1], V[:, ::-1]
     if lam[0] <= _GRAM_UNDERFLOW:
-        scaled = _scaled_up(G)
+        scaled = _scaled_up(X)
         if scaled is None:
-            return empty_basis(n_rows)
-        return gram_pca(scaled, K)
-    keep = min(K, int(np.count_nonzero(lam > DEFAULT_RANK_TOL * lam[0])))
-    return _map_back(G, lam[:keep], V[:, :keep])
+            return empty_basis(X.shape[0])
+        return orthonormal_basis(scaled, k)
+    keep = min(k, int(np.count_nonzero(lam > DEFAULT_RANK_TOL * lam[0])))
+    return _map_back(X, lam[:keep], V[:, :keep])
 
 
 def apply_projection(B, v) -> np.ndarray:

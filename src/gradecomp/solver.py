@@ -146,18 +146,15 @@ def relax_basis(G_specific: np.ndarray, k: int | None = None) -> np.ndarray:
     orthonormal basis of its whole column space when ``k`` is ``None``,
     else its top-``k`` principal directions.
 
-    The columns sum to zero, so the first ``m - 1`` of them span the
-    matrix; the full basis is built from those alone, because the last
-    column adds no direction, only the rounding noise of the deviations.
-    It comes from :func:`linalg.orthonormal_basis`, whose route rule
-    decides the rank of nearly dependent columns.  The principal
-    directions come from :func:`linalg.gram_pca`, the same Gram mapping
-    applied to the top ``k`` eigenpairs; they read all ``m`` columns,
+    Both come from :func:`linalg.orthonormal_basis`, the one Gram
+    kernel.  The columns sum to zero, so the first ``m - 1`` of them span
+    the matrix; the full basis is built from those alone, because the
+    last column adds no direction, only the rounding noise of the
+    deviations, and the kernel's route rule decides the rank of nearly
+    dependent columns.  The principal directions read all ``m`` columns,
     since dropping one would change ``G_specific G_specific'``.
     """
-    if k is None:
-        return linalg.orthonormal_basis(G_specific[:, :-1])
-    return linalg.gram_pca(G_specific, k)
+    return linalg.orthonormal_basis(G_specific[:, :-1] if k is None else G_specific, k)
 
 
 def decomposed_update(

@@ -1,4 +1,4 @@
-"""Kernels: orthonormalization, Gram PCA, projection.
+"""Kernels: orthonormalization, its top-k (Gram PCA) cut, projection.
 
 The PCA path is cross-checked against Gram-Schmidt spans and
 reconstruction identities, which share no code with the implementation.
@@ -412,15 +412,17 @@ class TestOrthonormalBasis:
 
 
 class TestGramPca:
+    """The k cut of ``orthonormal_basis``: top-k principal directions."""
+
     def test_rank_one_column_space(self):
         G = np.array([[1.0, -1.0], [0.0, 0.0]])
-        B = linalg.gram_pca(G, K=1)
+        B = linalg.orthonormal_basis(G, k=1)
         assert B.shape == (2, 1)
         np.testing.assert_allclose(np.abs(B[:, 0]), [1.0, 0.0], atol=1e-14)
 
     def test_zero_matrix_gives_empty_basis(self):
-        for K in (1, 3):
-            assert linalg.gram_pca(np.zeros((5, 4)), K).shape == (5, 0)
+        for k in (1, 3):
+            assert linalg.orthonormal_basis(np.zeros((5, 4)), k=k).shape == (5, 0)
 
     def test_subspace_containment_versus_full_basis(self):
         rng = np.random.default_rng(108)
@@ -428,7 +430,7 @@ class TestGramPca:
             raw = rng.standard_normal((20, 4))
             G = raw - raw.mean(axis=1, keepdims=True)  # columns sum to zero
             B_full = linalg.modified_gram_schmidt(G)
-            B_k = linalg.gram_pca(G, K=3)
+            B_k = linalg.orthonormal_basis(G, k=3)
             assert B_k.shape[1] == B_full.shape[1]  # K >= rank keeps all
             assert np.abs(B_k.T @ B_k - np.eye(B_k.shape[1])).max() < 1e-10
             for j in range(B_k.shape[1]):
@@ -440,7 +442,7 @@ class TestGramPca:
         for _ in range(20):
             G = rng.standard_normal((15, 5))
             B_full = linalg.modified_gram_schmidt(G)
-            B_k = linalg.gram_pca(G, K=8)
+            B_k = linalg.orthonormal_basis(G, k=8)
             # mutual projection residuals vanish in both directions
             r1 = B_k - B_full @ (B_full.T @ B_k)
             r2 = B_full - B_k @ (B_k.T @ B_full)
@@ -454,13 +456,15 @@ class TestGramPca:
         coeffs = rng.standard_normal((2, 6))
         coeffs[0] *= 50.0
         G = U @ coeffs
-        B = linalg.gram_pca(G, K=2)
+        B = linalg.orthonormal_basis(G, k=2)
         # first output column aligns with the stretched direction
         assert abs(B[:, 0] @ U[:, 0]) > 0.99
 
     def test_rejects_bad_k(self):
         with pytest.raises(ValueError):
-            linalg.gram_pca(np.eye(3), K=0)
+            linalg.orthonormal_basis(np.eye(3), k=0)
+        with pytest.raises(ValueError, match="at least 1"):
+            solver.relax_basis(np.eye(3), 0)
 
     def test_second_pass_keeps_order_and_span(self, monkeypatch):
         # zero-sum columns whose kept eigenvalues fall to 1e-9 of the
@@ -474,29 +478,33 @@ class TestGramPca:
             W = np.linalg.qr(np.column_stack([np.ones(m), rng.standard_normal((m, m - 1))]))[0]
             s = np.sqrt(np.logspace(0.0, -9.0, m - 1))
             G = U @ (s[:, None] * W[:, 1:].T)  # its own SVD
-            B = linalg.gram_pca(G, K=m)
+            B = linalg.orthonormal_basis(G, k=m)
             assert B.shape == (n, m - 1)
             assert np.abs(B.T @ B - np.eye(m - 1)).max() <= 1e-12
             assert abs(B[:, 0] @ U[:, 0]) >= 1.0 - 1e-12
             assert np.abs(B - U @ (U.T @ B)).max() <= 1e-8
             assert np.abs(U - B @ (B.T @ U)).max() <= 1e-8
         monkeypatch.setattr(linalg, "ORTH_TOL", np.inf)
-        B = linalg.gram_pca(G, K=m)
+        B = linalg.orthonormal_basis(G, k=m)
         assert np.abs(B.T @ B - np.eye(m - 1)).max() > 1e-12
 
 
-@pytest.mark.parametrize(
+# every entry point that builds a basis, full or cut to k
+basis_kernels = pytest.mark.parametrize(
     "kernel",
     [
         linalg.modified_gram_schmidt,
         linalg.orthonormal_basis,
-        lambda X: linalg.gram_pca(X, K=2),
+        lambda X: linalg.orthonormal_basis(X, k=2),
         solver.relax_basis,
         lambda X: solver.relax_basis(X, 2),
     ],
-    ids=["modified_gram_schmidt", "orthonormal_basis", "gram_pca", "relax_basis",
-         "relax_basis_k2"],
+    ids=["modified_gram_schmidt", "orthonormal_basis", "orthonormal_basis_k2",
+         "relax_basis", "relax_basis_k2"],
 )
+
+
+@basis_kernels
 def test_overflowing_column_norms_raise(kernel):
     # finite entries near 1e160 square past the float64 range; a drop
     # threshold of inf would silently discard every constraint
@@ -505,15 +513,26 @@ def test_overflowing_column_norms_raise(kernel):
         kernel(X)
 
 
+@basis_kernels
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_non_finite_input_raises(kernel, bad):
+    # eigh of a Gram matrix holding NaN can return without raising, so
+    # without the check the k cut would keep columns of non-finite input
+    X = np.random.default_rng(114).standard_normal((40, 5))
+    X[7, 2] = bad
+    with pytest.raises(ValueError, match="finite"):
+        kernel(X)
+
+
 @pytest.mark.parametrize(
     "kernel, rank",
     [
         (solver.relax_basis, 4),
         (lambda X: solver.relax_basis(X, 2), 2),
-        (lambda X: linalg.gram_pca(X, K=5), 4),
+        (lambda X: linalg.orthonormal_basis(X, k=5), 4),
         (linalg.modified_gram_schmidt, 4),
     ],
-    ids=["relax_basis", "relax_basis_k2", "gram_pca", "modified_gram_schmidt"],
+    ids=["relax_basis", "relax_basis_k2", "orthonormal_basis_k5", "modified_gram_schmidt"],
 )
 def test_underflowing_column_norms_keep_their_span(kernel, rank):
     # nonzero entries near 1e-170 square to zero, which must not read as
