@@ -19,7 +19,7 @@ one ``eigh`` of it.  Two routes then build the full basis (``k`` is
   bars of ``verify.suite_basis_adversarial``: its span error is bounded
   by about ``eps * kappa`` of the largest column, 2e-12 at the floor
   (measured: 1.4e-15), and one pass leaves ``|B'B - I|`` below about
-  1.4e-7, from which the second pass reaches working precision.
+  1.8e-7, from which the second pass reaches working precision.
 * ``modified_gram_schmidt`` takes every other full basis (rank deficient
   or nearly so, wide, or so small that its Gram matrix underflows).  It
   keeps the Gram-Schmidt contract (columns taken left to right, a column
@@ -30,6 +30,12 @@ one ``eigh`` of it.  Two routes then build the full basis (``k`` is
 * The k cut keeps the top ``min(k, #lam > DEFAULT_RANK_TOL * lam_max)``
   eigenpairs, dominant first, and maps them back on the Gram route; it
   never takes the QR, which would keep the whole span.
+
+``one_pass_basis(X)`` is the full basis without the Gram route's second
+pass, and the basis the decomposed update rule constrains against: it
+spans the same columns, and ``apply_projection`` re-orthogonalizes the
+projected vector instead of the basis, projecting again only when the
+residual it measures in the span asks for it.
 
 ``Workspace`` is the grow-only buffer the training loop, the model and
 the Gram route's first pass write their large per-step arrays into.
@@ -208,33 +214,88 @@ def modified_gram_schmidt(X) -> np.ndarray:
     return Q @ np.linalg.qr(R[:, kept])[0]
 
 
-def _map_back(X, lam, V) -> np.ndarray:
-    """``B = X V diag(lam)^-1/2`` for eigenpairs ``lam, V`` of ``X'X``,
-    with a second, order-preserving pass when one is not enough.
-
-    One pass leaves ``|B'B - I|`` at about ``eps * kappa^2``, with
-    ``kappa^2 = max(lam) / min(lam)``.  When ``ONE_PASS_LOSS * eps *
-    kappa^2`` exceeds ``ORTH_TOL``, the pass runs once more on ``B``:
-    ``B (B'B)^-1/2 = B V2 diag(lam2)^-1/2 V2'`` from ``lam2, V2 =
-    eigh(B'B)`` (Loewdin).  ``B'B`` is then close to ``I``, so this pass
-    reaches working precision and moves every column by about
-    ``|B'B - I|``: the columns keep their order.
+def _first_pass(X, lam, V, out=None) -> np.ndarray:
+    """``B = X V diag(lam)^-1/2`` for eigenpairs ``lam, V`` of ``X'X``:
+    one Gram pass, which leaves ``|B'B - I|`` at about ``eps * kappa^2``,
+    with ``kappa^2 = max(lam) / min(lam)``.
 
     ``B`` is formed as ``(W' X')'`` so that it is F-ordered, its columns
     contiguous: on 303-13,703 x 18 inputs that made the kernel 10-20%
     and the solver's projections through ``B`` 20-40% faster than C
-    order.  The first pass of two is read once, by the second, so it is
-    written into a buffer of the calling thread's: reused from call to
-    call, its pages stay resident, where a fresh array on top of the
-    returned one would be freed and faulted back in on the next call.
+    order.  ``out``, when given, is the ``(len(lam), len(X))`` array the
+    product is written into.
     """
     W = (V / np.sqrt(lam)).T
+    return np.matmul(W, X.T, out=out).T
+
+
+def _map_back(X, lam, V) -> np.ndarray:
+    """The first pass, and a second, order-preserving one when the first
+    is not enough.
+
+    When ``ONE_PASS_LOSS * eps * kappa^2`` exceeds ``ORTH_TOL``, the pass
+    runs once more on ``B``: ``B (B'B)^-1/2 = B V2 diag(lam2)^-1/2 V2'``
+    from ``lam2, V2 = eigh(B'B)`` (Loewdin).  ``B'B`` is then close to
+    ``I``, so this pass reaches working precision and moves every column
+    by about ``|B'B - I|``: the columns keep their order.  The first pass
+    of two is read once, by the second, so it is written into a buffer of
+    the calling thread's: reused from call to call, its pages stay
+    resident, where a fresh array on top of the returned one would be
+    freed and faulted back in on the next call.
+    """
     if not ONE_PASS_LOSS * _EPS * lam.max() > ORTH_TOL * lam.min():
-        return (W @ X.T).T
-    B = np.matmul(W, X.T, out=_SCRATCH.first_pass.take((len(W), len(X)))).T
+        return _first_pass(X, lam, V)
+    B = _first_pass(X, lam, V, out=_SCRATCH.first_pass.take((len(lam), len(X))))
     lam, V = np.linalg.eigh(B.T @ B)
     inv_sqrt = (V / np.sqrt(lam)) @ V.T  # (B'B)^-1/2
     return (inv_sqrt.T @ B.T).T
+
+
+def _gram_eigh(X: np.ndarray):
+    """``lam, V = eigh(X'X)``, after one check that ``X'X`` is finite."""
+    gram = X.T @ X
+    if not np.isfinite(gram).all():
+        if not np.isfinite(X).all():
+            raise ValueError("input columns must be finite")
+        raise ValueError(_OVERFLOW)
+    return np.linalg.eigh(gram)
+
+
+def _gram_route(X: np.ndarray):
+    """``lam, V`` of ``X'X`` when the full basis of ``X`` takes the Gram
+    route; ``None`` when it goes to the QR: ``sigma_min / sigma_max`` at
+    most ``GRAM_RATIO_FLOOR``, ``lam_min`` near underflow, or a failing
+    ``eigh``."""
+    try:
+        lam, V = _gram_eigh(X)
+    except np.linalg.LinAlgError:
+        return None
+    if not lam[0] > max(GRAM_RATIO_FLOOR**2 * lam[-1], _GRAM_UNDERFLOW):
+        return None
+    return lam, V
+
+
+def one_pass_basis(X) -> np.ndarray:
+    """The full basis of :func:`orthonormal_basis` without its second
+    Gram pass: what the decomposed update rule constrains against.
+
+    On the QR route it is ``modified_gram_schmidt(X)``, orthonormal to
+    working precision.  On the Gram route it is the first pass ``X V
+    diag(lam)^-1/2``: it spans the columns of ``X`` as the full basis
+    does, but ``|B'B - I|`` is only bounded by about ``ONE_PASS_LOSS *
+    eps * kappa^2``, at most about 1.8e-7 above ``GRAM_RATIO_FLOOR``, so
+    column norms are within that of 1.  :func:`apply_projection`
+    re-projects when that loss shows in its result.  Empty input gives a
+    zero-column basis; ``X`` is never modified.  Raises ``ValueError``
+    on non-finite input and on a Gram matrix that overflows float64.
+    """
+    X = _as_matrix(X)
+    if X.shape[1] == 0:
+        return empty_basis(X.shape[0])
+    eig = _gram_route(X)
+    if eig is None:
+        return modified_gram_schmidt(X)
+    return _first_pass(X, *eig)
 
 
 def orthonormal_basis(X, k: int | None = None) -> np.ndarray:
@@ -269,22 +330,12 @@ def orthonormal_basis(X, k: int | None = None) -> np.ndarray:
     X = _as_matrix(X)
     if X.shape[1] == 0:
         return empty_basis(X.shape[0])
-    gram = X.T @ X
-    if not np.isfinite(gram).all():
-        if not np.isfinite(X).all():
-            raise ValueError("input columns must be finite")
-        raise ValueError(_OVERFLOW)
-    try:
-        lam, V = np.linalg.eigh(gram)
-    except np.linalg.LinAlgError:
-        if k is not None:
-            raise
-        return modified_gram_schmidt(X)
-
     if k is None:
-        if not lam[0] > max(GRAM_RATIO_FLOOR**2 * lam[-1], _GRAM_UNDERFLOW):
+        eig = _gram_route(X)
+        if eig is None:
             return modified_gram_schmidt(X)
-        return _map_back(X, lam, V)
+        return _map_back(X, *eig)
+    lam, V = _gram_eigh(X)
     # eigh sorts ascending; take the principal directions first
     lam, V = lam[::-1], V[:, ::-1]
     if lam[0] <= _GRAM_UNDERFLOW:
@@ -299,9 +350,20 @@ def orthonormal_basis(X, k: int | None = None) -> np.ndarray:
 def apply_projection(B, v) -> np.ndarray:
     """Project ``v`` onto the orthogonal complement of the columns of ``B``.
 
-    Computes ``v - B (B^T v)`` without ever forming the square projection
-    matrix.  ``B`` must have orthonormal columns; an empty basis returns a
-    copy of ``v``.
+    Computes ``p = v - B (B'v)`` without ever forming the square
+    projection matrix, then measures what is left of ``p`` in the span,
+    ``r = B'p``, and projects again, ``p - B r``, while ``||r||`` exceeds
+    ``ORTH_TOL * ||p||``, at most twice ("twice is enough"; Giraud,
+    Langou and Rozloznik, 2005).  Through a basis with ``|B'B - I| <= d``
+    (:func:`one_pass_basis`) each projection leaves about ``d`` of the
+    residual before it, so two more take the Gram route's worst ``d``,
+    1.8e-7, down to rounding.  The bar is relative to ``p``, not to
+    ``B'v``: where ``v`` lies nearly in the span, ``p`` is small, and the
+    solver's reflect branch divides by it.  Through an orthonormal ``B``
+    the second projection runs only then.  So ``||B'p|| <= ORTH_TOL
+    ||p||`` wherever rounding in ``v`` allows it.  ``B`` must have
+    orthonormal columns to about 1e-7; an empty basis returns a copy of
+    ``v``.
     """
     v = np.asarray(v, dtype=np.float64)
     if v.ndim != 1:
@@ -313,4 +375,10 @@ def apply_projection(B, v) -> np.ndarray:
         )
     if B.shape[1] == 0:
         return v.copy()
-    return v - B @ (B.T @ v)
+    p = v - B @ (B.T @ v)
+    for _ in range(2):
+        r = B.T @ p
+        if not np.linalg.norm(r) > ORTH_TOL * np.linalg.norm(p):
+            break
+        p -= B @ r
+    return p

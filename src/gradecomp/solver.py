@@ -7,10 +7,11 @@ form has two branches: project ``g`` out of the span, and, when the
 projected gradient still conflicts with the shared gradient, reflect the
 conflicting component away as well.
 
-The constraint basis comes from :func:`relax_basis`: an orthonormal
-basis of every task-specific direction, or, relaxed, only the top-k
-principal directions of the specific matrix.  :func:`decomposed_update`
-wraps basis and solve as an update rule, a map from a gradient bundle
+The constraint basis comes from :func:`relax_basis`: a one-pass Gram
+basis of every task-specific direction, orthonormal to about 1e-7, the
+rest made up for in the projections; or, relaxed, an orthonormal basis
+of only the top-k principal directions of the specific matrix.
+:func:`decomposed_update` wraps basis and solve as an update rule, a map from a gradient bundle
 to an :class:`UpdateResult`, which runs on the whole vector or per layer
 segment alike.
 
@@ -142,19 +143,26 @@ def qp_oracle(g: np.ndarray, g_bar: np.ndarray, B: np.ndarray) -> np.ndarray:
 
 
 def relax_basis(G_specific: np.ndarray, k: int | None = None) -> np.ndarray:
-    """Constraint basis for an ``(n, m)`` specific-gradient matrix: an
-    orthonormal basis of its whole column space when ``k`` is ``None``,
-    else its top-``k`` principal directions.
+    """Constraint basis for an ``(n, m)`` specific-gradient matrix: a
+    basis of its whole column space when ``k`` is ``None``, else its
+    top-``k`` principal directions.
 
-    Both come from :func:`linalg.orthonormal_basis`, the one Gram
-    kernel.  The columns sum to zero, so the first ``m - 1`` of them span
-    the matrix; the full basis is built from those alone, because the
-    last column adds no direction, only the rounding noise of the
-    deviations, and the kernel's route rule decides the rank of nearly
-    dependent columns.  The principal directions read all ``m`` columns,
-    since dropping one would change ``G_specific G_specific'``.
+    The full basis is :func:`linalg.one_pass_basis`: one Gram pass,
+    orthonormal to about 1.8e-7 at worst, which
+    :func:`linalg.apply_projection` makes up for by re-projecting the
+    vectors when their measured residual asks for it, rather than
+    re-orthogonalizing the basis.  The columns sum to zero, so the first
+    ``m - 1`` of them span the matrix; it is built from those alone,
+    because the last column adds no direction, only the rounding noise
+    of the deviations, and the kernel's route rule decides the rank of
+    nearly dependent columns.  The principal directions come from
+    :func:`linalg.orthonormal_basis`, orthonormal to working precision,
+    and read all ``m`` columns, since dropping one would change
+    ``G_specific G_specific'``.
     """
-    return linalg.orthonormal_basis(G_specific[:, :-1] if k is None else G_specific, k)
+    if k is None:
+        return linalg.one_pass_basis(G_specific[:, :-1])
+    return linalg.orthonormal_basis(G_specific, k)
 
 
 def decomposed_update(

@@ -75,3 +75,35 @@ def test_listed_workload_runs_a_short_sequence(perfbench, tmp_path, name):
     assert seq.R.shape == (3, 3)
     lower = seq.R[np.tril_indices(3)]
     assert ((lower >= 0.0) & (lower <= 1.0)).all()
+
+
+@pytest.mark.parametrize("name", LISTED)
+def test_gate_checks_every_constrained_solve(perfbench, monkeypatch, tmp_path, name):
+    # perfbench/run.py exits 1 when its gate checks no update, so a route
+    # that stops reaching the gated solvers must fail here first: the
+    # layerwise variant solves once per layer segment in every step with
+    # memories, the whole-vector ones once
+    gate, _, workloads = perfbench
+    from gradecomp import trainer
+
+    wl = replace(workloads.WORKLOADS[name], tasks=3, n_per_class=10)
+    variant = trainer.variant_from_name(wl.variant)
+    per_step = len(workloads.model_layout().slices()) if variant.lgu else 1
+    steps_with_memories = 0
+    train_step = trainer.train_step
+
+    def counted(model, batch, memories, *args, **kwargs):
+        nonlocal steps_with_memories
+        steps_with_memories += bool(memories)
+        return train_step(model, batch, memories, *args, **kwargs)
+
+    monkeypatch.setattr(trainer, "train_step", counted)
+    checks = gate.Gate()
+    checks.install()
+    try:
+        workloads.run_sequence(wl, workloads.setup(wl, seed=1), tmp_path)
+    finally:
+        checks.uninstall()
+    assert steps_with_memories > 0
+    assert checks.checked == per_step * steps_with_memories
+    assert not checks.failures

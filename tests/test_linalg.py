@@ -544,6 +544,45 @@ def test_underflowing_column_norms_keep_their_span(kernel, rank):
     np.testing.assert_allclose(B @ B.T, reference @ reference.T, atol=1e-10)
 
 
+class TestOnePassBasis:
+    """The full basis without its second Gram pass, as ``relax_basis``
+    hands it to the solver."""
+
+    def test_first_pass_loss_is_within_its_bound_on_the_adversarial_families(self):
+        # the instances of verify.suite_basis_adversarial: wherever the
+        # Gram route runs, one pass leaves |B'B - I| <= ONE_PASS_LOSS *
+        # eps * kappa^2, the bound apply_projection's re-projections rely
+        # on (at most 1.8e-7 above the route's floor)
+        eps = np.finfo(float).eps
+        rng = np.random.default_rng(2029)
+        gram_families = set()
+        for i in range(500):
+            family = verify.BASIS_FAMILIES[i % len(verify.BASIS_FAMILIES)]
+            X, _ = verify._adversarial_columns(rng, family)
+            eig = linalg._gram_route(np.asarray(X, dtype=float))
+            if eig is None:
+                continue
+            gram_families.add(family)
+            lam = eig[0]
+            B = linalg.one_pass_basis(X)
+            loss = np.abs(B.T @ B - np.eye(B.shape[1])).max()
+            assert loss <= linalg.ONE_PASS_LOSS * eps * lam[-1] / lam[0], family
+        assert {"near_collinear", "extreme_scale"} <= gram_families
+
+    def test_spans_what_orthonormal_basis_spans(self):
+        rng = np.random.default_rng(150)
+        for _ in range(50):
+            n, m = int(rng.integers(20, 300)), int(rng.integers(1, 19))
+            X = rng.standard_normal((n, m)) * 10.0 ** rng.uniform(-1.5, 1.5, size=m)
+            B, full = linalg.one_pass_basis(X), linalg.orthonormal_basis(X)
+            assert B.shape == full.shape
+            assert np.abs(np.linalg.norm(B, axis=0) - 1.0).max() <= 2e-7
+            assert np.abs(B - full @ (full.T @ B)).max() <= 1e-12
+        X = np.column_stack([rng.standard_normal(12)] * 2)  # rank deficient
+        assert np.array_equal(linalg.one_pass_basis(X), linalg.modified_gram_schmidt(X))
+        assert linalg.one_pass_basis(np.zeros((4, 0))).shape == (4, 0)
+
+
 class TestApplyProjection:
     def test_axis_projection(self):
         B = np.array([[1.0], [0.0], [0.0]])
@@ -596,3 +635,33 @@ class TestApplyProjection:
             v = rng.standard_normal(20)
             out = linalg.apply_projection(B, v)
             assert np.abs(B.T @ out).max() < 1e-10 * np.linalg.norm(v)
+
+    def test_second_projection_meets_the_bar_on_a_one_pass_basis(self):
+        # kappa^2 near 1e7 leaves one Gram pass 1e-10..1e-6 from
+        # orthonormal: one projection through it misses the bar
+        # |B'p| <= ORTH_TOL |B'v|, and the measured re-projection meets it
+        rng = np.random.default_rng(115)
+        for _ in range(50):
+            n, m = int(rng.integers(50, 400)), int(rng.integers(4, 19))
+            U = np.linalg.qr(rng.standard_normal((n, m)))[0]
+            W = np.linalg.qr(rng.standard_normal((m, m)))[0]
+            B = linalg.one_pass_basis(U @ (np.logspace(0.0, -3.8, m)[:, None] * W))
+            assert 1e-10 < np.abs(B.T @ B - np.eye(m)).max() < 1e-6
+            v = rng.standard_normal(n)
+            bar = linalg.ORTH_TOL * np.abs(B.T @ v).max()
+            assert np.abs(B.T @ (v - B @ (B.T @ v))).max() > bar
+            assert np.abs(B.T @ linalg.apply_projection(B, v)).max() <= bar
+
+    def test_bar_is_relative_to_the_result_where_v_lies_nearly_in_the_span(self):
+        # v within 1% of the span: a residual small next to B'v is still
+        # a large part of p, and the solver's reflect branch divides by
+        # ||P g_bar||^2, so the re-projection is decided against ||p||
+        rng = np.random.default_rng(116)
+        for _ in range(50):
+            n, m = int(rng.integers(50, 400)), int(rng.integers(4, 19))
+            U = np.linalg.qr(rng.standard_normal((n, m)))[0]
+            W = np.linalg.qr(rng.standard_normal((m, m)))[0]
+            B = linalg.one_pass_basis(U @ (np.logspace(0.0, -1.25, m)[:, None] * W))
+            v = B @ rng.standard_normal(m) + 1e-2 * rng.standard_normal(n) / np.sqrt(n)
+            p = linalg.apply_projection(B, v)
+            assert np.linalg.norm(B.T @ p) <= linalg.ORTH_TOL * np.linalg.norm(p)

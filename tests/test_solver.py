@@ -165,7 +165,7 @@ class TestRelaxBasis:
         "suite", [verify.suite_solver_vs_oracle, verify.suite_constraint_feasibility]
     )
     def test_solver_suites_exercise_both_basis_routes(self, monkeypatch, suite):
-        # relax_basis calls orthonormal_basis, which hands ill-conditioned
+        # relax_basis calls one_pass_basis, which hands ill-conditioned
         # columns to modified_gram_schmidt: count both calls
         calls = {"basis": 0, "qr": 0}
 
@@ -175,8 +175,8 @@ class TestRelaxBasis:
                 return fn(*args, **kwargs)
             return counted
 
-        monkeypatch.setattr(linalg, "orthonormal_basis",
-                            counting("basis", linalg.orthonormal_basis))
+        monkeypatch.setattr(linalg, "one_pass_basis",
+                            counting("basis", linalg.one_pass_basis))
         monkeypatch.setattr(linalg, "modified_gram_schmidt",
                             counting("qr", linalg.modified_gram_schmidt))
         res = suite()
