@@ -2,24 +2,23 @@
 full or cut to the top-k principal directions, and matrix-free
 null-space projection.
 
-``orthonormal_basis(X, k=None)`` is the one Gram kernel: it forms the
+``orthonormal_basis(X, k=None)`` is the one basis kernel: it forms the
 small Gram matrix ``X'X`` once, checks once that it is finite, and takes
 one ``eigh`` of it.  Two routes then build the full basis (``k`` is
 ``None``), and one cut builds the principal basis:
 
-* The Gram route maps eigenpairs back through ``X`` (CholeskyQR with an
-  eigensolver in place of the Cholesky factor, run twice when needed;
-  Fukaya et al., 2014): ``_map_back``, two tall products per pass where
-  a QR makes a Householder sweep over the rows.  The full basis maps
-  back every eigenvector, so it takes this route only where
+* The Gram route maps eigenpairs back through ``X`` in one pass
+  (CholeskyQR with an eigensolver in place of the Cholesky factor;
+  Fukaya et al., 2014): ``B = X V diag(lam)^-1/2``, two tall products
+  where a QR makes a Householder sweep over the rows.  The full basis
+  maps back every eigenvector, so it takes this route only where
   ``sigma_min / sigma_max`` of ``X``, read off the eigenvalues, exceeds
   ``GRAM_RATIO_FLOOR``.  There every Gram-Schmidt residual is at least
   ``sigma_min``, and the floor is above ``DEFAULT_RANK_TOL``, so the QR
-  would keep every column too.  The floor also holds the route to the
-  bars of ``verify.suite_basis_adversarial``: its span error is bounded
-  by about ``eps * kappa`` of the largest column, 2e-12 at the floor
-  (measured: 1.4e-15), and one pass leaves ``|B'B - I|`` below about
-  1.8e-7, from which the second pass reaches working precision.
+  would keep every column too.  The floor also bounds the route's span
+  error by about ``eps * kappa`` of the largest column, 2e-12 at the
+  floor (measured: 1.4e-15), and its loss of orthogonality ``|B'B - I|``
+  by about ``ONE_PASS_LOSS * eps * kappa^2``, 1.8e-7 at the floor.
 * ``modified_gram_schmidt`` takes every other full basis (rank deficient
   or nearly so, wide, or so small that its Gram matrix underflows).  It
   keeps the Gram-Schmidt contract (columns taken left to right, a column
@@ -28,17 +27,17 @@ one ``eigh`` of it.  Two routes then build the full basis (``k`` is
   with numpy's Householder QR of the input; no Python loop runs over
   the rows.  It is accurate whatever the conditioning.
 * The k cut keeps the top ``min(k, #lam > DEFAULT_RANK_TOL * lam_max)``
-  eigenpairs, dominant first, and maps them back on the Gram route; it
-  never takes the QR, which would keep the whole span.
+  eigenpairs, dominant first, and maps them back in the same single
+  pass; it never takes the QR, which would keep the whole span.  Its
+  ``kappa^2`` can reach ``1 / DEFAULT_RANK_TOL``, where one pass leaves
+  ``|B'B - I|`` up to about 1.8e-5.
 
-``one_pass_basis(X)`` is the full basis without the Gram route's second
-pass, and the basis the decomposed update rule constrains against: it
-spans the same columns, and ``apply_projection`` re-orthogonalizes the
-projected vector instead of the basis, projecting again only when the
-residual it measures in the span asks for it.
+No route runs a second pass over the basis: ``apply_projection``
+re-orthogonalizes the projected vector instead, projecting again only
+when the residual it measures in the span asks for it.
 
-``Workspace`` is the grow-only buffer the training loop, the model and
-the Gram route's first pass write their large per-step arrays into.
+``Workspace`` is the grow-only buffer the training loop and the model
+write their large per-step arrays into.
 
 All kernels work on plain float64 numpy arrays.  Vectors are 1-D arrays;
 bases and column collections are 2-D arrays whose columns are the vectors
@@ -52,7 +51,6 @@ choice of directions within the span is part of any kernel's contract.
 from __future__ import annotations
 
 import math
-import threading
 
 import numpy as np
 
@@ -61,8 +59,7 @@ DEFAULT_RANK_TOL = 1e-10
 # the Gram route runs only above this sigma_min / sigma_max (see the
 # module docstring); the QR takes everything at or below it
 GRAM_RATIO_FLOOR = 1e-4
-# the orthonormality a single Gram pass must reach to skip the second
-# pass: |B'B - I| <= ORTH_TOL, the bar of verify.suite_basis_adversarial
+# apply_projection projects again while ||B'p|| > ORTH_TOL ||p||
 ORTH_TOL = 1e-12
 # one pass leaves |B'B - I| at most about ONE_PASS_LOSS * eps * kappa^2:
 # measured up to 6.5 on 4,000 random inputs with kappa^2 in 300..3e4 and
@@ -113,16 +110,6 @@ class Workspace:
             self._flat = np.empty(0)
             self._flat = np.empty(size)
         return self._flat[:size].reshape(shape)
-
-
-class _Scratch(threading.local):
-    """Per-thread buffers of the kernels' intermediate arrays."""
-
-    def __init__(self):
-        self.first_pass = Workspace()
-
-
-_SCRATCH = _Scratch()
 
 
 def _scaled_up(X: np.ndarray) -> np.ndarray | None:
@@ -214,7 +201,7 @@ def modified_gram_schmidt(X) -> np.ndarray:
     return Q @ np.linalg.qr(R[:, kept])[0]
 
 
-def _first_pass(X, lam, V, out=None) -> np.ndarray:
+def _first_pass(X, lam, V) -> np.ndarray:
     """``B = X V diag(lam)^-1/2`` for eigenpairs ``lam, V`` of ``X'X``:
     one Gram pass, which leaves ``|B'B - I|`` at about ``eps * kappa^2``,
     with ``kappa^2 = max(lam) / min(lam)``.
@@ -222,33 +209,10 @@ def _first_pass(X, lam, V, out=None) -> np.ndarray:
     ``B`` is formed as ``(W' X')'`` so that it is F-ordered, its columns
     contiguous: on 303-13,703 x 18 inputs that made the kernel 10-20%
     and the solver's projections through ``B`` 20-40% faster than C
-    order.  ``out``, when given, is the ``(len(lam), len(X))`` array the
-    product is written into.
+    order.
     """
     W = (V / np.sqrt(lam)).T
-    return np.matmul(W, X.T, out=out).T
-
-
-def _map_back(X, lam, V) -> np.ndarray:
-    """The first pass, and a second, order-preserving one when the first
-    is not enough.
-
-    When ``ONE_PASS_LOSS * eps * kappa^2`` exceeds ``ORTH_TOL``, the pass
-    runs once more on ``B``: ``B (B'B)^-1/2 = B V2 diag(lam2)^-1/2 V2'``
-    from ``lam2, V2 = eigh(B'B)`` (Loewdin).  ``B'B`` is then close to
-    ``I``, so this pass reaches working precision and moves every column
-    by about ``|B'B - I|``: the columns keep their order.  The first pass
-    of two is read once, by the second, so it is written into a buffer of
-    the calling thread's: reused from call to call, its pages stay
-    resident, where a fresh array on top of the returned one would be
-    freed and faulted back in on the next call.
-    """
-    if not ONE_PASS_LOSS * _EPS * lam.max() > ORTH_TOL * lam.min():
-        return _first_pass(X, lam, V)
-    B = _first_pass(X, lam, V, out=_SCRATCH.first_pass.take((len(lam), len(X))))
-    lam, V = np.linalg.eigh(B.T @ B)
-    inv_sqrt = (V / np.sqrt(lam)) @ V.T  # (B'B)^-1/2
-    return (inv_sqrt.T @ B.T).T
+    return (W @ X.T).T
 
 
 def _gram_eigh(X: np.ndarray):
@@ -275,55 +239,37 @@ def _gram_route(X: np.ndarray):
     return lam, V
 
 
-def one_pass_basis(X) -> np.ndarray:
-    """The full basis of :func:`orthonormal_basis` without its second
-    Gram pass: what the decomposed update rule constrains against.
-
-    On the QR route it is ``modified_gram_schmidt(X)``, orthonormal to
-    working precision.  On the Gram route it is the first pass ``X V
-    diag(lam)^-1/2``: it spans the columns of ``X`` as the full basis
-    does, but ``|B'B - I|`` is only bounded by about ``ONE_PASS_LOSS *
-    eps * kappa^2``, at most about 1.8e-7 above ``GRAM_RATIO_FLOOR``, so
-    column norms are within that of 1.  :func:`apply_projection`
-    re-projects when that loss shows in its result.  Empty input gives a
-    zero-column basis; ``X`` is never modified.  Raises ``ValueError``
-    on non-finite input and on a Gram matrix that overflows float64.
-    """
-    X = _as_matrix(X)
-    if X.shape[1] == 0:
-        return empty_basis(X.shape[0])
-    eig = _gram_route(X)
-    if eig is None:
-        return modified_gram_schmidt(X)
-    return _first_pass(X, *eig)
-
-
 def orthonormal_basis(X, k: int | None = None) -> np.ndarray:
     """Orthonormal basis of the column space of ``X`` from its Gram
-    matrix: all of it when ``k`` is ``None``, else its top-``k``
-    principal directions.
+    matrix, in one pass: all of it when ``k`` is ``None``, else its
+    top-``k`` principal directions.  What the decomposed update rule
+    constrains against.
 
     1. ``lam, V = eigh(X'X)``, after one check that ``X'X`` is finite.
     2. ``k`` is ``None``: when ``sigma_min / sigma_max = sqrt(lam_min /
        lam_max)`` is at most ``GRAM_RATIO_FLOOR``, ``lam_min`` is near
        underflow or ``eigh`` fails, return ``modified_gram_schmidt(X)``,
        whose rank contract decides the kept columns.  Otherwise map every
-       eigenvector back through ``X`` with :func:`_map_back`: every
+       eigenvector back through ``X`` with :func:`_first_pass`: every
        column is kept, as the QR would keep it.
     3. ``k`` given: keep the top ``min(k, #lam > DEFAULT_RANK_TOL *
        lam_max)`` eigenpairs, dominant first (eigenvalues at or below the
        cut-off are rank deficiency), and map them back with
-       :func:`_map_back`.  A Gram matrix near underflow is formed again
+       :func:`_first_pass`.  A Gram matrix near underflow is formed again
        from ``X`` scaled up by a power of two, which keeps its span.  The
        QR never takes this path: it would keep the whole span, so a
        failing ``eigh`` raises its ``LinAlgError``.
 
-    Returns an ``(n_rows, r)`` matrix with orthonormal columns spanning
-    those of ``X`` (``r`` at most ``k``); the Gram mapping picks its own
-    directions within that span, each defined up to its sign.  Empty input
-    gives a zero-column basis.  ``X`` is never modified.  Raises
-    ``ValueError`` on ``k < 1``, on non-finite input and on a Gram matrix
-    that overflows float64 (entries above about 1e150).
+    Returns an ``(n_rows, r)`` matrix spanning the columns of ``X`` (``r``
+    at most ``k``); the Gram mapping picks its own directions within that
+    span, each defined up to its sign.  The QR's columns are orthonormal
+    to working precision; a Gram pass over the kept ``lam`` leaves
+    ``|B'B - I|`` within about ``ONE_PASS_LOSS * eps * lam_max /
+    lam_min``, at most about 1.8e-7 on the full basis and 1.8e-5 on the
+    k cut, which :func:`apply_projection` makes up for.  Empty input gives
+    a zero-column basis.  ``X`` is never modified.  Raises ``ValueError``
+    on ``k < 1``, on non-finite input and on a Gram matrix that overflows
+    float64 (entries above about 1e150).
     """
     if k is not None and k < 1:
         raise ValueError(f"k must be at least 1, got {k!r}")
@@ -334,7 +280,7 @@ def orthonormal_basis(X, k: int | None = None) -> np.ndarray:
         eig = _gram_route(X)
         if eig is None:
             return modified_gram_schmidt(X)
-        return _map_back(X, *eig)
+        return _first_pass(X, *eig)
     lam, V = _gram_eigh(X)
     # eigh sorts ascending; take the principal directions first
     lam, V = lam[::-1], V[:, ::-1]
@@ -344,7 +290,7 @@ def orthonormal_basis(X, k: int | None = None) -> np.ndarray:
             return empty_basis(X.shape[0])
         return orthonormal_basis(scaled, k)
     keep = min(k, int(np.count_nonzero(lam > DEFAULT_RANK_TOL * lam[0])))
-    return _map_back(X, lam[:keep], V[:, :keep])
+    return _first_pass(X, lam[:keep], V[:, :keep])
 
 
 def apply_projection(B, v) -> np.ndarray:
@@ -354,16 +300,20 @@ def apply_projection(B, v) -> np.ndarray:
     projection matrix, then measures what is left of ``p`` in the span,
     ``r = B'p``, and projects again, ``p - B r``, while ``||r||`` exceeds
     ``ORTH_TOL * ||p||``, at most twice ("twice is enough"; Giraud,
-    Langou and Rozloznik, 2005).  Through a basis with ``|B'B - I| <= d``
-    (:func:`one_pass_basis`) each projection leaves about ``d`` of the
-    residual before it, so two more take the Gram route's worst ``d``,
-    1.8e-7, down to rounding.  The bar is relative to ``p``, not to
-    ``B'v``: where ``v`` lies nearly in the span, ``p`` is small, and the
-    solver's reflect branch divides by it.  Through an orthonormal ``B``
-    the second projection runs only then.  So ``||B'p|| <= ORTH_TOL
-    ||p||`` wherever rounding in ``v`` allows it.  ``B`` must have
-    orthonormal columns to about 1e-7; an empty basis returns a copy of
-    ``v``.
+    Langou and Rozloznik, 2005).  This is the package's only
+    re-orthogonalization.  Through a basis with ``|B'B - I| <= d`` each
+    projection leaves about ``d`` of the residual before it, so the two
+    more take the first one's residual down by ``d^2``: to rounding for
+    the full basis's worst ``d``, 1.8e-7, and by 3e-10 for the k cut's,
+    1.8e-5.  The bar is relative to ``p``, not to ``B'v``: where ``v``
+    lies nearly in the span, ``p`` is small, and the solver's reflect
+    branch divides by it.  Through an orthonormal ``B`` the second
+    projection runs only then.  So ``||B'p|| <= ORTH_TOL ||p||`` wherever
+    rounding in ``v`` allows it.  ``B`` must be orthonormal to within
+    ``ONE_PASS_LOSS * eps * kappa^2``, with ``kappa^2`` the spread of the
+    eigenvalues it was mapped from (:func:`orthonormal_basis`): up to
+    about 1.8e-5 at the k cut's eigenvalue floor.  An empty basis returns
+    a copy of ``v``.
     """
     v = np.asarray(v, dtype=np.float64)
     if v.ndim != 1:

@@ -8,12 +8,12 @@ projected gradient still conflicts with the shared gradient, reflect the
 conflicting component away as well.
 
 The constraint basis comes from :func:`relax_basis`: a one-pass Gram
-basis of every task-specific direction, orthonormal to about 1e-7, the
-rest made up for in the projections; or, relaxed, an orthonormal basis
-of only the top-k principal directions of the specific matrix.
-:func:`decomposed_update` wraps basis and solve as an update rule, a map from a gradient bundle
-to an :class:`UpdateResult`, which runs on the whole vector or per layer
-segment alike.
+basis of every task-specific direction or, relaxed, of only the top-k
+principal directions of the specific matrix, orthonormal to about 1e-7
+and 1e-5 at worst, the rest made up for in the projections.
+:func:`decomposed_update` wraps basis and solve as an update rule, a map
+from a gradient bundle to an :class:`UpdateResult`, which runs on the
+whole vector or per layer segment alike.
 
 Also here: an independent brute-force KKT oracle used to cross-check the
 closed form, and the three baseline update rules (single averaged
@@ -147,22 +147,19 @@ def relax_basis(G_specific: np.ndarray, k: int | None = None) -> np.ndarray:
     basis of its whole column space when ``k`` is ``None``, else its
     top-``k`` principal directions.
 
-    The full basis is :func:`linalg.one_pass_basis`: one Gram pass,
-    orthonormal to about 1.8e-7 at worst, which
+    Both come from :func:`linalg.orthonormal_basis`, the one basis
+    kernel, in one Gram pass: orthonormal to about 1.8e-7 at worst on the
+    full basis and 1.8e-5 on the k cut, which
     :func:`linalg.apply_projection` makes up for by re-projecting the
     vectors when their measured residual asks for it, rather than
     re-orthogonalizing the basis.  The columns sum to zero, so the first
-    ``m - 1`` of them span the matrix; it is built from those alone,
-    because the last column adds no direction, only the rounding noise
-    of the deviations, and the kernel's route rule decides the rank of
-    nearly dependent columns.  The principal directions come from
-    :func:`linalg.orthonormal_basis`, orthonormal to working precision,
-    and read all ``m`` columns, since dropping one would change
-    ``G_specific G_specific'``.
+    ``m - 1`` of them span the matrix; the full basis is built from those
+    alone, because the last column adds no direction, only the rounding
+    noise of the deviations, and the kernel's route rule decides the rank
+    of nearly dependent columns.  The principal directions read all ``m``
+    columns, since dropping one would change ``G_specific G_specific'``.
     """
-    if k is None:
-        return linalg.one_pass_basis(G_specific[:, :-1])
-    return linalg.orthonormal_basis(G_specific, k)
+    return linalg.orthonormal_basis(G_specific[:, :-1] if k is None else G_specific, k)
 
 
 def decomposed_update(

@@ -318,31 +318,48 @@ def _adversarial_columns(rng: np.random.Generator, family: str):
 
 
 def suite_basis_adversarial(basis_fn: Callable = None) -> SuiteResult:
-    """The constraint basis must stay orthonormal and span its input on
-    adversarial columns: the zero-sum specific columns of near-collinear
-    memories (the first ``m - 1``, as :func:`solver.relax_basis` passes
-    them), extreme scales, wide input, a zero column, a dependent column
-    in the middle, and graded Kahan-type triangles whose condition number
-    far exceeds the inverse of their smallest Gram-Schmidt residual.
+    """The constraint basis must span its input, and be orthonormal
+    enough for the projector the solver reads it through, on adversarial
+    columns: the zero-sum specific columns of near-collinear memories
+    (the first ``m - 1``, as :func:`solver.relax_basis` passes them),
+    extreme scales, wide input, a zero column, a dependent column in the
+    middle, and graded Kahan-type triangles whose condition number far
+    exceeds the inverse of their smallest Gram-Schmidt residual.
 
-    It draws 500 instances from seed 2029.  Each checks ``|B'B - I| <=
-    1e-12``, that every input column's residual outside the basis is at
-    most ``linalg.DEFAULT_RANK_TOL`` times the largest column norm (plus
-    1e-13 of it for rounding), that ``rank <= min(n, m)`` (exact where
-    the family fixes it), and that finite input never raises.
+    It draws 500 instances from seed 2029.  Each checks that ``rank <=
+    min(n, m)`` (exact where the family fixes it), that finite input
+    never raises, and that every input column's residual outside the
+    basis is at most ``linalg.DEFAULT_RANK_TOL`` times the largest column
+    norm (plus 1e-13 of it for rounding).
 
-    ``basis_fn`` defaults to ``linalg.orthonormal_basis``, the kernel
-    training uses; :func:`run_all_suites` also runs its fallback,
-    ``linalg.modified_gram_schmidt``.  It is injectable so a broken
-    kernel can be shown to trip the suite.  The result is named after
-    the kernel, ``basis_adversarial[<kernel>]``.
+    ``basis_fn`` defaults to ``linalg.orthonormal_basis``, looked up at
+    call time: the kernel training uses.  Its bases come from one Gram
+    pass and are read only through :func:`linalg.apply_projection`, so
+    for it the suite checks that projector.  Column residuals are
+    ``||apply_projection(B, x)||``.  ``|B'B - I|`` may reach the
+    projector's precondition, ``ONE_PASS_LOSS * eps * lam_max /
+    lam_min``, where ``linalg._gram_route(X)`` runs, and 1e-12
+    elsewhere.  Three probes ``v`` per instance, at distances 1, 1e-2
+    and 1e-4 from the span and drawn from seed ``[2029, 1]`` apart from
+    the instances, must leave ``||B'p|| <= 1e-12 ||p||`` for ``p =
+    apply_projection(B, v)``, or ``||p|| <= 1e-12 ||v||`` where ``B``
+    spans all rows.  Every other kernel, such as the fallback
+    ``linalg.modified_gram_schmidt`` that :func:`run_all_suites` also
+    runs, must reach ``|B'B - I| <= 1e-12`` and span its input through
+    ``B B'``.
+
+    The kernel is injectable so a broken one can be shown to trip the
+    suite.  The result is named after the kernel,
+    ``basis_adversarial[<kernel>]``; for the Gram kernel its detail also
+    gives the worst ``|B'B - I|`` and probe as fractions of their bars.
     """
     basis = basis_fn or linalg.orthonormal_basis
+    gram_kernel = basis is linalg.orthonormal_basis
     name = f"basis_adversarial[{getattr(basis, '__name__', 'kernel')}]"
     n_instances, rel_tol = 500, linalg.DEFAULT_RANK_TOL
     rng = np.random.default_rng(2029)
-    worst_orth = 0.0
-    worst_resid = 0.0
+    probes = np.random.default_rng([2029, 1])
+    worst_orth = worst_resid = worst_orth_frac = worst_probe = 0.0
     for i in range(n_instances):
         family = BASIS_FAMILIES[i % len(BASIS_FAMILIES)]
         X, expected_rank = _adversarial_columns(rng, family)
@@ -362,28 +379,53 @@ def suite_basis_adversarial(basis_fn: Callable = None) -> SuiteResult:
                 problem = f"rank {k} for a {n}x{m} input (expected {expected_rank})"
             else:
                 orth = float(np.abs(B.T @ B - np.eye(k)).max()) if k else 0.0
-                resid = float(np.linalg.norm(X - B @ (B.T @ X), axis=0).max())
+                orth_bar, probe = 1e-12, 0.0
+                if gram_kernel:
+                    resid = max(float(np.linalg.norm(linalg.apply_projection(B, x)))
+                                for x in X.T)
+                    eig = linalg._gram_route(X)
+                    if eig is not None:
+                        orth_bar = linalg.ONE_PASS_LOSS * np.finfo(float).eps * (
+                            eig[0][-1] / eig[0][0]
+                        )
+                    for dist in (1.0, 1e-2, 1e-4):
+                        v = B @ probes.standard_normal(k) + dist * probes.standard_normal(n)
+                        p = linalg.apply_projection(B, v)
+                        # B'p as apply_projection measures it, which sets the margin
+                        left = np.linalg.norm(p) / np.linalg.norm(v) if k == n else (
+                            np.linalg.norm(B.T @ p) / np.linalg.norm(p)
+                        )
+                        probe = max(probe, float(left) / 1e-12)
+                else:
+                    resid = float(np.linalg.norm(X - B @ (B.T @ X), axis=0).max())
                 resid /= max_norm if max_norm > 0.0 else 1.0
                 worst_orth = max(worst_orth, orth)
                 worst_resid = max(worst_resid, resid)
-                if orth > 1e-12:
-                    problem = f"|B'B - I| = {orth:.3e} exceeds 1e-12"
+                worst_orth_frac = max(worst_orth_frac, orth / orth_bar)
+                worst_probe = max(worst_probe, probe)
+                if orth > orth_bar:
+                    problem = f"|B'B - I| = {orth:.3e} exceeds {orth_bar:.3g}"
                 elif resid > rel_tol + 1e-13:
                     problem = (
                         f"column residual {resid:.3e} x max norm exceeds "
                         f"rel_tol {rel_tol:.0e}"
                     )
+                elif not probe <= 1.0:
+                    problem = f"probe left {probe:.3g} times the 1e-12 bar in the span"
         if problem is not None:
             return _failed(
                 name, i, f"{family} instance {i}: {problem}", family=family, X=X
             )
-    return SuiteResult(
-        name,
-        True,
-        n_instances,
+    detail = (
         f"max |B'B - I| = {worst_orth:.3e}, max column residual = "
-        f"{worst_resid:.3e} x max norm",
+        f"{worst_resid:.3e} x max norm"
     )
+    if gram_kernel:
+        detail += (
+            f"; worst |B'B - I| at {worst_orth_frac:.3f} of its bar, worst "
+            f"probe at {worst_probe:.3f} of 1e-12"
+        )
+    return SuiteResult(name, True, n_instances, detail)
 
 
 def _gem_by_enumeration(g: np.ndarray, G: np.ndarray) -> np.ndarray:

@@ -436,7 +436,8 @@ class TestCmdVerify:
         assert cli.main(["verify", "--out-dir", str(tmp_path)]) == 0
         out = capsys.readouterr().out
         assert "FAIL" not in out
-        # every suite on its own line, both basis kernels training uses
+        # every suite on its own line: the basis kernel training uses and
+        # its QR fallback, the first with its margins to its bars
         for name in (
             "solver_vs_oracle", "projection_psd", "decomposition_zero_sum",
             "gradient_check", "constraint_feasibility",
@@ -444,6 +445,8 @@ class TestCmdVerify:
             "basis_adversarial[modified_gram_schmidt]", "gem_exact",
         ):
             assert f"PASS {name}:" in out
+        gram_line = next(line for line in out.splitlines() if "[orthonormal_basis]" in line)
+        assert "of its bar" in gram_line and "of 1e-12" in gram_line
         assert "8/8 property suites passed" in out.splitlines()
 
     def test_mutated_solver_detected(self, monkeypatch, tmp_path, capsys):

@@ -207,7 +207,7 @@ class TestBasisContract:
         res = verify.suite_basis_adversarial(basis_fn=linalg.modified_gram_schmidt)
         assert res.passed, res.detail
 
-    def test_adversarial_suite_trips_on_broken_kernels(self):
+    def test_adversarial_suite_trips_on_broken_kernels(self, monkeypatch):
         def single_cholesky_pass(X):
             # no rank test and no second pass: loses orthogonality
             L = np.linalg.cholesky(X.T @ X)
@@ -231,12 +231,33 @@ class TestBasisContract:
             res = verify.suite_basis_adversarial(basis_fn=broken)
             assert not res.passed
             assert res.failing_case is not None
+            # standing in for the Gram kernel, it meets the projector checks
+            with monkeypatch.context() as patch:
+                patch.setattr(linalg, "orthonormal_basis", broken)
+                res = verify.suite_basis_adversarial()
+            assert not res.passed
+            assert res.failing_case is not None
 
 
 def takes_the_qr(X):
     """Whether ``orthonormal_basis`` returned the QR fallback's basis
     (bit for bit); the Gram route picks other directions in the span."""
     return np.array_equal(linalg.orthonormal_basis(X), linalg.modified_gram_schmidt(X))
+
+
+def one_pass_bound(X):
+    """``ONE_PASS_LOSS * eps * kappa^2``: how far one Gram pass over ``X``
+    may leave ``|B'B - I|``, and the precondition of ``apply_projection``."""
+    return linalg.ONE_PASS_LOSS * np.finfo(float).eps * np.linalg.cond(X) ** 2
+
+
+def assert_projects_off(B, rng):
+    """Vectors projected through ``B``, one near its span, meet the 1e-12
+    bar of the projector: ``||B'p|| <= 1e-12 ||p||``."""
+    for dist in (1.0, 1e-4):
+        v = B @ rng.standard_normal(B.shape[1]) + dist * rng.standard_normal(len(B))
+        p = linalg.apply_projection(B, v)
+        assert np.linalg.norm(B.T @ p) <= 1e-12 * np.linalg.norm(p)
 
 
 class TestOrthonormalBasis:
@@ -246,14 +267,16 @@ class TestOrthonormalBasis:
         res = verify.suite_basis_adversarial(basis_fn=linalg.orthonormal_basis)
         assert res.passed, res.detail
         assert res.name == "basis_adversarial[orthonormal_basis]"
+        assert "of its bar" in res.detail and "of 1e-12" in res.detail
 
     def test_one_pass_only_fails_the_suite(self, monkeypatch):
-        # with the second pass switched off, one Gram pass on a graded
-        # triangle above the conditioning floor leaves |B'B - I| ~ 1e-9
+        # with the re-projection switched off, the suite's probes near the
+        # span of a one-pass basis keep its loss of orthogonality in p
         monkeypatch.setattr(linalg, "ORTH_TOL", np.inf)
-        res = verify.suite_basis_adversarial(basis_fn=linalg.orthonormal_basis)
+        with np.errstate(invalid="ignore"):  # inf * 0 where p is zero
+            res = verify.suite_basis_adversarial(basis_fn=linalg.orthonormal_basis)
         assert not res.passed
-        assert "|B'B - I|" in res.detail
+        assert "probe" in res.detail
 
     def test_well_conditioned_input_takes_the_gram_route(self):
         rng = np.random.default_rng(140)
@@ -263,14 +286,15 @@ class TestOrthonormalBasis:
             B = linalg.orthonormal_basis(X)
             assert not takes_the_qr(X)
             assert B.shape == (n, m)
-            assert np.abs(B.T @ B - np.eye(m)).max() <= 1e-12
-            resid = np.linalg.norm(X - B @ (B.T @ X), axis=0).max()
-            assert resid <= 1e-12 * np.linalg.norm(X, axis=0).max()
+            assert np.abs(B.T @ B - np.eye(m)).max() <= one_pass_bound(X)
+            assert_projects_off(B, rng)
+            Q = linalg.modified_gram_schmidt(X)
+            assert np.abs(B - Q @ (Q.T @ B)).max() <= 1e-12
 
     def test_orthonormal_just_below_the_second_pass_threshold(self):
-        # one small singular value, kappa^2 in 1e2..1e4, so a single pass
-        # is kept only at the low end; a threshold set for less than the
-        # measured one-pass loss leaves |B'B - I| above 1e-12 here
+        # one small singular value, kappa^2 in 1e2..1e4, where one pass's
+        # loss of orthogonality crosses 1e-12: it stays within its bound,
+        # and the projector makes up the rest
         rng = np.random.default_rng(141)
         for _ in range(200):
             n, m = int(rng.integers(19, 400)), int(rng.integers(8, 19))
@@ -278,8 +302,10 @@ class TestOrthonormalBasis:
             W = np.linalg.qr(rng.standard_normal((m, m)))[0]
             s = np.ones(m)
             s[-1] = 10.0 ** -rng.uniform(1.0, 2.0)
-            B = linalg.orthonormal_basis(U @ (s[:, None] * W))
-            assert np.abs(B.T @ B - np.eye(m)).max() <= 1e-12
+            X = U @ (s[:, None] * W)
+            B = linalg.orthonormal_basis(X)
+            assert np.abs(B.T @ B - np.eye(m)).max() <= one_pass_bound(X)
+            assert_projects_off(B, rng)
 
     def test_near_collinear_columns_take_the_qr(self):
         rng = np.random.default_rng(142)
@@ -344,58 +370,36 @@ class TestOrthonormalBasis:
             linalg.orthonormal_basis(X)
 
     def test_two_pass_bases_are_fresh_arrays(self):
-        # the first of two Gram passes goes into a reused per-thread
-        # buffer; each basis returned is a new array, with the same bits
-        # whatever an earlier call left in that buffer
+        # each basis returned is a new array, with the same bits whatever
+        # an earlier, larger call computed
         rng = np.random.default_rng(148)
         X, Y = (rng.standard_normal(shape) for shape in ((60, 4), (300, 9)))
-        X[:, -1] *= 1e-2
-        Y[:, -1] *= 1e-2
-        for Z in (X, Y):
-            assert linalg.ONE_PASS_LOSS * np.finfo(float).eps * np.linalg.cond(Z) ** 2 > (
-                linalg.ORTH_TOL
-            )
         first = linalg.orthonormal_basis(X)
-        linalg.orthonormal_basis(Y)  # a larger first pass in between
+        linalg.orthonormal_basis(Y)
         again = linalg.orthonormal_basis(X)
         assert first.tobytes() == again.tobytes()
-        scratch = linalg._SCRATCH.first_pass.take((9, 300))
-        for B in (first, again):
-            assert not np.shares_memory(B, scratch)
         assert not np.shares_memory(first, again)
+        assert not np.shares_memory(first, X)
 
     def test_threads_keep_their_own_first_pass(self):
-        # BLAS runs without the interpreter lock, so threads sharing one
-        # first-pass buffer would overwrite each other's first pass
-        import sys
+        # concurrent calls return the bits a lone call returns
         import threading
 
         rng = np.random.default_rng(149)
-        inputs = []
-        for n in (400, 300, 500, 350):
-            X = rng.standard_normal((n, 12))
-            X[:, -1] *= 1e-2  # two passes
-            inputs.append(X)
+        inputs = [rng.standard_normal((n, 12)) for n in (400, 300, 500, 350)]
         expected = [linalg.orthonormal_basis(X).tobytes() for X in inputs]
         mismatches = []
 
         def work(X, want):
-            for _ in range(30):
+            for _ in range(3):
                 if linalg.orthonormal_basis(X).tobytes() != want:
                     mismatches.append(X.shape)
 
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)
-        try:
-            threads = [
-                threading.Thread(target=work, args=pair) for pair in zip(inputs, expected)
-            ]
-            for t in threads:
-                t.start()
-            for t in threads:
-                t.join(timeout=60)
-        finally:
-            sys.setswitchinterval(interval)
+        threads = [threading.Thread(target=work, args=pair) for pair in zip(inputs, expected)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
         assert not any(t.is_alive() for t in threads)
         assert mismatches == []
 
@@ -468,8 +472,8 @@ class TestGramPca:
 
     def test_second_pass_keeps_order_and_span(self, monkeypatch):
         # zero-sum columns whose kept eigenvalues fall to 1e-9 of the
-        # largest: one pass loses orthogonality, the second restores it
-        # without reordering the principal directions
+        # largest: one pass keeps the principal directions in order and
+        # spans them, and the projector makes up its loss of orthogonality
         rng = np.random.default_rng(111)
         for _ in range(50):
             n, m = int(rng.integers(20, 400)), int(rng.integers(3, 19))
@@ -480,13 +484,49 @@ class TestGramPca:
             G = U @ (s[:, None] * W[:, 1:].T)  # its own SVD
             B = linalg.orthonormal_basis(G, k=m)
             assert B.shape == (n, m - 1)
-            assert np.abs(B.T @ B - np.eye(m - 1)).max() <= 1e-12
+            assert np.abs(B.T @ B - np.eye(m - 1)).max() <= one_pass_bound(U * s)
             assert abs(B[:, 0] @ U[:, 0]) >= 1.0 - 1e-12
             assert np.abs(B - U @ (U.T @ B)).max() <= 1e-8
-            assert np.abs(U - B @ (B.T @ U)).max() <= 1e-8
-        monkeypatch.setattr(linalg, "ORTH_TOL", np.inf)
-        B = linalg.orthonormal_basis(G, k=m)
+            for u in U.T:  # B B' is no projector; the solver reads this one
+                assert np.abs(linalg.apply_projection(B, u)).max() <= 1e-8
+            assert_projects_off(B, rng)
+        # the last basis is visibly one pass, and without the re-projection
+        # a vector near its span keeps that loss
         assert np.abs(B.T @ B - np.eye(m - 1)).max() > 1e-12
+        monkeypatch.setattr(linalg, "ORTH_TOL", np.inf)
+        with pytest.raises(AssertionError):
+            assert_projects_off(B, rng)
+
+    def test_k_cut_at_its_rank_floor_projects_as_two_passes_did(self):
+        # kept eigenvalues down to about 1e-10 of the largest, the
+        # DEFAULT_RANK_TOL cut, where one pass loses up to about 1.8e-5:
+        # the re-projection meets its bar, and p is as close to the exact
+        # projection as through the basis after a second (Loewdin) pass
+        rng = np.random.default_rng(151)
+        dists = (1.0, 1e-2, 1e-4)
+        worst = {dist: [0.0, 0.0] for dist in dists}
+        for _ in range(50):
+            n, m = int(rng.integers(20, 400)), int(rng.integers(3, 19))
+            U = np.linalg.qr(rng.standard_normal((n, m - 1)))[0]
+            W = np.linalg.qr(np.column_stack([np.ones(m), rng.standard_normal((m, m - 1))]))[0]
+            s = np.sqrt(np.logspace(0.0, -9.9, m - 1))
+            B = linalg.orthonormal_basis(U @ (s[:, None] * W[:, 1:].T), k=m)
+            assert B.shape == (n, m - 1)
+            lam, V = np.linalg.eigh(B.T @ B)
+            two_pass = B @ ((V / np.sqrt(lam)) @ V.T)
+            for dist in dists:
+                for _ in range(3):
+                    v = U @ rng.standard_normal(m - 1) + dist * rng.standard_normal(n)
+                    exact = v - U @ (U.T @ v)
+                    p = linalg.apply_projection(B, v)
+                    assert np.linalg.norm(B.T @ p) <= linalg.ORTH_TOL * np.linalg.norm(p)
+                    for j, q in enumerate((p, linalg.apply_projection(two_pass, v))):
+                        err = np.linalg.norm(q - exact) / np.linalg.norm(exact)
+                        worst[dist][j] = max(worst[dist][j], err)
+        # both carry the span error of the same first pass; rounding
+        # moves their worst cases by well under 1%
+        for one_pass, two in worst.values():
+            assert one_pass <= 1.05 * two
 
 
 # every entry point that builds a basis, full or cut to k
@@ -545,8 +585,8 @@ def test_underflowing_column_norms_keep_their_span(kernel, rank):
 
 
 class TestOnePassBasis:
-    """The full basis without its second Gram pass, as ``relax_basis``
-    hands it to the solver."""
+    """The full basis from one Gram pass, as ``relax_basis`` hands it to
+    the solver."""
 
     def test_first_pass_loss_is_within_its_bound_on_the_adversarial_families(self):
         # the instances of verify.suite_basis_adversarial: wherever the
@@ -564,23 +604,25 @@ class TestOnePassBasis:
                 continue
             gram_families.add(family)
             lam = eig[0]
-            B = linalg.one_pass_basis(X)
+            B = linalg.orthonormal_basis(X)
             loss = np.abs(B.T @ B - np.eye(B.shape[1])).max()
             assert loss <= linalg.ONE_PASS_LOSS * eps * lam[-1] / lam[0], family
         assert {"near_collinear", "extreme_scale"} <= gram_families
 
     def test_spans_what_orthonormal_basis_spans(self):
+        # the span reference is the QR's, which is orthonormal to working
+        # precision whatever the conditioning
         rng = np.random.default_rng(150)
         for _ in range(50):
             n, m = int(rng.integers(20, 300)), int(rng.integers(1, 19))
             X = rng.standard_normal((n, m)) * 10.0 ** rng.uniform(-1.5, 1.5, size=m)
-            B, full = linalg.one_pass_basis(X), linalg.orthonormal_basis(X)
-            assert B.shape == full.shape
+            B, Q = linalg.orthonormal_basis(X), linalg.modified_gram_schmidt(X)
+            assert B.shape == Q.shape
             assert np.abs(np.linalg.norm(B, axis=0) - 1.0).max() <= 2e-7
-            assert np.abs(B - full @ (full.T @ B)).max() <= 1e-12
+            assert np.abs(B - Q @ (Q.T @ B)).max() <= 1e-12
         X = np.column_stack([rng.standard_normal(12)] * 2)  # rank deficient
-        assert np.array_equal(linalg.one_pass_basis(X), linalg.modified_gram_schmidt(X))
-        assert linalg.one_pass_basis(np.zeros((4, 0))).shape == (4, 0)
+        assert np.array_equal(linalg.orthonormal_basis(X), linalg.modified_gram_schmidt(X))
+        assert linalg.orthonormal_basis(np.zeros((4, 0))).shape == (4, 0)
 
 
 class TestApplyProjection:
@@ -645,7 +687,7 @@ class TestApplyProjection:
             n, m = int(rng.integers(50, 400)), int(rng.integers(4, 19))
             U = np.linalg.qr(rng.standard_normal((n, m)))[0]
             W = np.linalg.qr(rng.standard_normal((m, m)))[0]
-            B = linalg.one_pass_basis(U @ (np.logspace(0.0, -3.8, m)[:, None] * W))
+            B = linalg.orthonormal_basis(U @ (np.logspace(0.0, -3.8, m)[:, None] * W))
             assert 1e-10 < np.abs(B.T @ B - np.eye(m)).max() < 1e-6
             v = rng.standard_normal(n)
             bar = linalg.ORTH_TOL * np.abs(B.T @ v).max()
@@ -661,7 +703,7 @@ class TestApplyProjection:
             n, m = int(rng.integers(50, 400)), int(rng.integers(4, 19))
             U = np.linalg.qr(rng.standard_normal((n, m)))[0]
             W = np.linalg.qr(rng.standard_normal((m, m)))[0]
-            B = linalg.one_pass_basis(U @ (np.logspace(0.0, -1.25, m)[:, None] * W))
+            B = linalg.orthonormal_basis(U @ (np.logspace(0.0, -1.25, m)[:, None] * W))
             v = B @ rng.standard_normal(m) + 1e-2 * rng.standard_normal(n) / np.sqrt(n)
             p = linalg.apply_projection(B, v)
             assert np.linalg.norm(B.T @ p) <= linalg.ORTH_TOL * np.linalg.norm(p)
