@@ -5,18 +5,20 @@ Parameters live in one contiguous float64 array; weight matrices and
 bias vectors are reshaped views into it, so solver updates applied to
 the flat vector are immediately visible to the forward pass.  Hidden
 layers use ReLU (subgradient 0 at 0), the output layer is linear, and
-the loss is mean softmax cross-entropy.  One backprop serves both the
-new-task gradient (one batch, one ``(n,)`` vector) and the replay
-memories (m stacked equal-sized batches, one ``(m, n)`` matrix whose
-row ``k`` is the gradient of batch ``k``'s own mean loss).  The
-layout the per-layer solver reads has one segment per layer, the
-layer's weights and then its bias, in the order they sit in the vector.
+the loss is mean softmax cross-entropy.  One backprop serves every
+gradient a training step needs: a single batch gives one ``(n,)``
+vector, and stacked groups of rows (the new-task batch, then one
+sampled batch per replay memory) give one ``(groups, n)`` matrix whose
+row ``k`` is the gradient of group ``k``'s own mean loss.  The layout
+the per-layer solver reads has one segment per layer, the layer's
+weights and then its bias, in the order they sit in the vector.
 """
 
 from __future__ import annotations
 
 import math
 import numbers
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -29,6 +31,40 @@ def _is_count(value, least: int = 1) -> bool:
     """An integer >= ``least``; ``True`` and ``False`` are ``int`` but no count."""
     is_int = isinstance(value, numbers.Integral) and not isinstance(value, bool)
     return is_int and value >= least
+
+
+def _group_runs(rows: int, groups) -> tuple[int, list[list]]:
+    """The groups of :meth:`MlpModel.loss_and_grad` as runs of equal
+    consecutive sizes: the number of groups, and ``[first row, first
+    group, size, count]`` for each run.  Raises ``ValueError`` unless the
+    groups split the ``rows`` exactly."""
+    if groups is None:
+        return 1, [[0, 0, rows, 1]]
+    if isinstance(groups, numbers.Integral):
+        if not _is_count(groups) or rows % groups:
+            raise ValueError(
+                f"{rows} rows do not split into {groups!r} groups of equal size"
+            )
+        return int(groups), [[0, 0, rows // int(groups), int(groups)]]
+    sizes = list(groups) if np.iterable(groups) else [groups]
+    runs: list[list] = []
+    row = 0
+    for k, size in enumerate(sizes):
+        # a size equal in type and value to a checked one is a count too
+        if runs and size == runs[-1][2] and type(size) is type(runs[-1][2]):
+            runs[-1][3] += 1
+        elif _is_count(size):
+            runs.append([row, k, size, 1])
+        else:
+            break
+        row += size
+    else:
+        if sizes and row == rows:
+            return len(sizes), runs
+    raise ValueError(
+        f"group sizes must be integers >= 1 that sum to the {rows} rows, "
+        f"got {groups!r}"
+    )
 
 
 @dataclass
@@ -123,31 +159,43 @@ class MlpModel:
         return h
 
     def loss_and_grad(
-        self, batch: Batch, groups: int | None = None, *, out: np.ndarray | None = None
+        self,
+        batch: Batch,
+        groups: int | Sequence[int] | None = None,
+        *,
+        out: np.ndarray | None = None,
     ) -> tuple[float, np.ndarray] | tuple[np.ndarray, np.ndarray]:
         """Mean cross-entropy and its flat gradient, for one or many groups.
 
         With ``groups=None`` the whole batch is one group and the result
-        is ``(loss, grad)``: a float and an ``(n_params,)`` vector.  With
-        ``groups=m`` the rows of ``batch`` are ``m`` consecutive groups of
-        equal size (one sampled batch per replay memory, stacked) and the
-        result is ``(losses, G)``: ``losses[k]`` is group ``k``'s own mean
-        loss and row ``G[k]`` of the C-ordered ``(m, n_params)`` matrix
-        its gradient.  Either way it is one forward pass over every row
-        and one backward pass; the per-group weight gradients come from
-        one batched matmul written straight into the rows of ``G``.  The
-        one-group result does the arithmetic of a plain single-batch
-        backprop bit for bit; a group's row agrees with a call on that
-        group alone to rounding (BLAS may round a tall product differently
-        from a short one).
+        is ``(loss, grad)``: a float and an ``(n_params,)`` vector.
+        Otherwise the rows of ``batch`` are consecutive groups: ``groups=m``
+        makes ``m`` groups of equal size (one sampled batch per replay
+        memory, stacked), and a sequence of sizes makes one group of each
+        size, in order, summing to the rows (a training step puts its
+        new-task batch first, then the memories' batches).  The result is
+        ``(losses, G)``: ``losses[k]`` is group ``k``'s own mean loss and
+        row ``G[k]`` of the C-ordered ``(groups, n_params)`` matrix its
+        gradient.  Either way it is one forward pass over every row, one
+        label check, one backward pass and one finiteness check; the
+        per-group weight gradients come from one batched matmul for each
+        run of equal consecutive sizes, written straight into the rows of
+        ``G``.  The one-group result does the arithmetic of a plain
+        single-batch backprop bit for bit, and ``groups=m`` that of ``m``
+        equal sizes given as a sequence; a group's row agrees with a call
+        on that group alone to rounding (BLAS may round a tall product
+        differently from a short one).  Sizes that do not split the rows
+        (or that are not integers >= 1) and out-of-range labels raise
+        ``ValueError`` before anything is written.
 
         ``out``, when given, receives the gradient and is returned in its
         place, as in numpy: a C-contiguous float64 array of the result's
-        shape, ``(n_params,)`` or ``(m, n_params)``, else ``ValueError``.
-        A training run passes one buffer to every step, so its pages stay
-        resident.  The hidden activations and deltas live in scratch
-        buffers of the model's own, grown to the largest batch seen, so
-        two threads must not run this method on one model at once.
+        shape, ``(n_params,)`` or ``(groups, n_params)``, else
+        ``ValueError``.  A training run passes one buffer to every step,
+        so its pages stay resident.  The hidden activations and deltas
+        live in scratch buffers of the model's own, grown to the largest
+        batch seen, so two threads must not run this method on one model
+        at once.
         """
         X = batch.inputs
         y = batch.labels
@@ -158,13 +206,8 @@ class MlpModel:
                 f"labels must lie in [0, {self.n_classes}), got "
                 f"[{y.min()}, {y.max()}]"
             )
-        m = 1 if groups is None else int(groups)
         rows = X.shape[0]
-        if m < 1 or rows % m:
-            raise ValueError(
-                f"{rows} rows do not split into {groups} groups of equal size"
-            )
-        bs = rows // m
+        m, runs = _group_runs(rows, groups)
         shape = (self.layout.total,) if groups is None else (m, self.layout.total)
         if out is None:
             out = np.empty(shape)
@@ -195,21 +238,29 @@ class MlpModel:
         sum_exp = delta.sum(axis=1)
         picked = np.arange(rows), y
         log_probs = shifted[picked] - np.log(sum_exp)
-        losses = -log_probs.reshape(m, bs).mean(axis=1)
 
         delta /= sum_exp[:, None]
         delta[picked] -= 1.0
-        delta /= bs
+        losses = np.empty(m)
+        for row, k, bs, count in runs:
+            end = row + bs * count
+            group_losses = losses[k: k + count]
+            log_probs[row:end].reshape(count, bs).sum(axis=1, out=group_losses)
+            group_losses /= -bs
+            delta[row:end] /= bs
         for i in range(last, -1, -1):
             W, _ = self._layers[i]
             fan_in, fan_out = W.shape
             offset = self.layout.segments[i].offset
             bias_at = offset + fan_in * fan_out
             a = inputs.pop()
-            d = delta.reshape(m, bs, fan_out)
-            gW = G[:, offset:bias_at].reshape(m, fan_in, fan_out)
-            np.matmul(a.reshape(m, bs, fan_in).transpose(0, 2, 1), d, out=gW)
-            d.sum(axis=1, out=G[:, bias_at: bias_at + fan_out])
+            for row, k, bs, count in runs:
+                end = row + bs * count
+                d = delta[row:end].reshape(count, bs, fan_out)
+                gW = G[k: k + count, offset:bias_at].reshape(count, fan_in, fan_out)
+                at = a[row:end].reshape(count, bs, fan_in).transpose(0, 2, 1)
+                np.matmul(at, d, out=gW)
+                d.sum(axis=1, out=G[k: k + count, bias_at: bias_at + fan_out])
             if i > 0:
                 # the hidden output a is read for the last time here, so
                 # the next delta overwrites it after its ReLU mask is taken

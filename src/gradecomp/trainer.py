@@ -1,19 +1,23 @@
 """Sequential training over a task stream with pluggable update rules.
 
-Each training step computes the new-task gradient, draws one batch from
-every stored memory with one generator call, stacked in ascending task
-order, differentiates them in one pass into an ``(m, n)`` matrix (row
-``i`` for memory ``i``) that every update rule reads as is, decomposes
-it into shared and specific components, builds the constraint basis
-for the selected method, solves for the update (on the whole vector or
-per layer), and applies it.  The averaged constraint (A-GEM) reads only
-the mean memory gradient, so for it the same pass runs without groups:
-the gradient of the mean loss over the stacked batch is that mean, and
-no per-memory rows are formed.  With no stored memories every method
-degenerates to plain SGD.  The memory-gradient matrix is written into a
-buffer that lives for the whole run, and the decomposed rule forms its
-specific matrix in that matrix's storage, so a step does not return
-their pages to the system for the next step to fault back in.
+Each training step draws one batch from every stored memory with one
+generator call, stacked in ascending task order below the new-task
+batch, and differentiates them all in one backprop: the new-task batch
+is the first group, at its own size, and each memory's batch a group
+after it.  Row 0 of the result is the new-task gradient and the rows
+below it the ``(m, n)`` memory-gradient matrix (row ``i + 1`` for
+memory ``i``) that every update rule reads as is.  The step then
+decomposes that matrix into shared and specific components, builds the
+constraint basis for the selected method, solves for the update (on the
+whole vector or per layer), and applies it.  The averaged constraint
+(A-GEM) reads only the mean memory gradient, so for it the memory rows
+form one group: the gradient of the mean loss over them is that mean,
+and no per-memory rows are formed.  With no stored memories (or for
+plain fine-tuning) the step differentiates the new-task batch alone and
+is one SGD step.  The gradients are written into a buffer that lives
+for the whole run, and the decomposed rule forms its specific matrix in
+the memory rows' storage, so a step does not return their pages to the
+system for the next step to fault back in.
 
 ``train_sequence`` makes one pass over each task's training data, then
 stores one episodic memory for the task in a plain list, in task order;
@@ -307,37 +311,44 @@ def train_step(
     """One parameter update on a new-task batch under the given method.
 
     With no memories (or the plain fine-tuning method) this is one SGD
-    step.  Any non-finite quantity aborts with ``FloatingPointError``.
-    ``grads`` is the run's reused buffer for the memory-gradient matrix;
-    without it the step makes its own.
+    step.  Otherwise one ``loss_and_grad`` pass differentiates the
+    new-task batch and the sampled memory rows together.  Any non-finite
+    quantity aborts with ``FloatingPointError``.  ``grads`` is the run's
+    reused buffer for that pass's gradients; without it the step makes
+    its own.
     """
     if grads is None:
         grads = Workspace()
     trace = StepTrace()
-    loss_new, g = model.loss_and_grad(new_batch)
-    trace.loss_new = loss_new
 
     if variant.kind == KIND_SINGLE or not memories:
-        w = g
+        trace.loss_new, w = model.loss_and_grad(new_batch)
     else:
-        stacked = mem.sample_memory_batch(memories, bs_old, mem_rng)
-        if variant.kind == KIND_AGEM:
-            # the averaged constraint reads only the mean memory gradient:
-            # with equal-sized groups it is the gradient of the mean loss
-            # over the stacked batch, so no per-memory rows are formed
-            out = grads.take((model.n_params,))
-            trace.loss_mem_mean, old = model.loss_and_grad(stacked, out=out)
-        else:
-            out = grads.take((len(memories), model.n_params))
-            losses, old = model.loss_and_grad(stacked, groups=len(memories), out=out)
-            trace.loss_mem_mean = float(np.mean(losses))
+        sampled = mem.sample_memory_batch(memories, bs_old, mem_rng)
+        stacked = Batch(
+            np.concatenate((new_batch.inputs, sampled.inputs)),
+            np.concatenate((new_batch.labels, sampled.labels)),
+        )
+        # the new-task batch is group 0; the averaged constraint (A-GEM)
+        # reads only the mean memory gradient, which with equal-sized
+        # memory batches is the gradient of the mean loss over all their
+        # rows, so for it they form one group and no per-memory rows
+        agem = variant.kind == KIND_AGEM
+        memory_groups = (len(sampled),) if agem else (bs_old,) * len(memories)
+        out = grads.take((1 + len(memory_groups), model.n_params))
+        losses, G = model.loss_and_grad(
+            stacked, (len(new_batch), *memory_groups), out=out
+        )
+        trace.loss_new, g = float(losses[0]), G[0]
+        trace.loss_mem_mean = float(losses[1:].sum() / len(memory_groups))
+        old = G[1] if agem else G[1:]
         start = time.perf_counter()
         w = _solve_for_variant(variant, model, g, old, sgem_rng, trace)
         trace.solver_seconds = time.perf_counter() - start
         if not np.isfinite(w).all():
             raise FloatingPointError(
                 f"non-finite update for method {variant.name} "
-                f"(new-task loss {loss_new:.6g}, "
+                f"(new-task loss {trace.loss_new:.6g}, "
                 f"mean memory loss {trace.loss_mem_mean:.6g})"
             )
 

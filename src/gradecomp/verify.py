@@ -173,56 +173,66 @@ def suite_gradient_check() -> SuiteResult:
     """Backprop must match central finite differences coordinate-wise, on
     20 models drawn from seed 2027.
 
-    Every instance stacks 2-4 groups of equal size and differentiates them
-    in one pass (``loss_and_grad(batch, groups=m)``).  Each group's row
+    Every instance differentiates the groups of a training step in one
+    pass: a leading group, as the new-task batch, then 2-4 groups of
+    equal size, as the memories (``loss_and_grad(batch, [lead, n, ...,
+    n])``).  The leading group's size (1-8 rows, never that of the
+    others) and rows come from a generator of their own, so the draws
+    from seed 2027 are those of equal groups alone.  Each group's row
     must match central differences of that group's own loss, and a pass
-    over that group alone to 1e-13 relative.
+    over that group alone to 1e-13 relative.  The detail line reports
+    the worst errors over all groups and over the leading groups.
     """
     n_models = 20
     rng = np.random.default_rng(2027)
+    lead_rng = np.random.default_rng([2027, 1])
     step = 1e-5
-    worst = worst_alone = 0.0
+    worst = worst_alone = lead = lead_alone = 0.0
     for i in range(n_models):
         sizes = [int(rng.integers(3, 7)), int(rng.integers(4, 9)), int(rng.integers(2, 5))]
         model = MlpModel(sizes, seed=int(rng.integers(0, 2**31)))
         n_ex = int(rng.integers(2, 7))
         groups = int(rng.integers(2, 5))
+        inputs = rng.standard_normal((groups * n_ex, sizes[0])) * 2.0
+        labels = rng.integers(0, sizes[-1], size=groups * n_ex)
+        n_lead = int(lead_rng.integers(1, 8))
+        n_lead += n_lead >= n_ex
+        group_sizes = [n_lead] + [n_ex] * groups
         batch = Batch(
-            rng.standard_normal((groups * n_ex, sizes[0])) * 2.0,
-            rng.integers(0, sizes[-1], size=groups * n_ex),
+            np.vstack([lead_rng.standard_normal((n_lead, sizes[0])) * 2.0, inputs]),
+            np.concatenate([lead_rng.integers(0, sizes[-1], size=n_lead), labels]),
         )
-        _, G = model.loss_and_grad(batch, groups=groups)
+        _, G = model.loss_and_grad(batch, group_sizes)
         fd = np.empty_like(G)
         for j in range(model.n_params):
             orig = model.params[j]
             model.params[j] = orig + step
-            up, _ = model.loss_and_grad(batch, groups=groups)
+            up, _ = model.loss_and_grad(batch, group_sizes)
             model.params[j] = orig - step
-            down, _ = model.loss_and_grad(batch, groups=groups)
+            down, _ = model.loss_and_grad(batch, group_sizes)
             model.params[j] = orig
             fd[:, j] = (up - down) / (2.0 * step)
+        bounds = np.cumsum([0] + group_sizes)
         alone = np.stack([
-            model.loss_and_grad(
-                Batch(batch.inputs[k * n_ex:(k + 1) * n_ex],
-                      batch.labels[k * n_ex:(k + 1) * n_ex])
-            )[1]
-            for k in range(groups)
+            model.loss_and_grad(Batch(batch.inputs[lo:hi], batch.labels[lo:hi]))[1]
+            for lo, hi in zip(bounds[:-1], bounds[1:])
         ])
         floor = np.maximum(1e-6, 1e-3 * np.abs(fd).max(axis=1, keepdims=True))
-        rel = float((np.abs(G - fd) / np.maximum(np.abs(fd), floor)).max())
-        rel_alone = float(
-            (np.abs(G - alone).max(axis=1)
-             / np.maximum(np.abs(alone).max(axis=1), 1e-300)).max()
+        rel = (np.abs(G - fd) / np.maximum(np.abs(fd), floor)).max(axis=1)
+        rel_alone = np.abs(G - alone).max(axis=1) / np.maximum(
+            np.abs(alone).max(axis=1), 1e-300
         )
-        worst = max(worst, rel)
-        worst_alone = max(worst_alone, rel_alone)
-        if rel > 1e-4 or rel_alone > 1e-13:
+        worst = max(worst, rel.max())
+        worst_alone = max(worst_alone, rel_alone.max())
+        lead = max(lead, rel[0])
+        lead_alone = max(lead_alone, rel_alone[0])
+        if rel.max() > 1e-4 or rel_alone.max() > 1e-13:
             return _failed(
                 "gradient_check", i,
-                f"max relative error {rel:.3e} against finite differences "
-                f"(limit 1e-4), {rel_alone:.3e} against single-group "
+                f"max relative error {rel.max():.3e} against finite differences "
+                f"(limit 1e-4), {rel_alone.max():.3e} against single-group "
                 f"passes (limit 1e-13) on model {i}",
-                layer_sizes=sizes, model_seed=model.seed, groups=groups,
+                layer_sizes=sizes, model_seed=model.seed, groups=group_sizes,
                 inputs=batch.inputs, labels=batch.labels,
             )
     return SuiteResult(
@@ -230,7 +240,8 @@ def suite_gradient_check() -> SuiteResult:
         True,
         n_models,
         f"max relative error {worst:.3e} against finite differences, "
-        f"{worst_alone:.3e} between stacked and single-group passes",
+        f"{worst_alone:.3e} between stacked and single-group passes "
+        f"(leading groups {lead:.3e} and {lead_alone:.3e})",
     )
 
 

@@ -236,6 +236,117 @@ class TestStackedGroups:
             model.loss_and_grad(Batch(inputs, np.zeros(4, dtype=int)), groups=2)
 
 
+def stacked_backprop(model, batch, m):
+    """The ``groups=m`` pass as the equal-groups-only model wrote it: one
+    mean over an ``(m, bs)`` reshape, one ``delta /= bs`` and one batched
+    matmul per layer.  ``groups=m`` must keep these bits."""
+    X, y = batch.inputs, batch.labels
+    rows = X.shape[0]
+    bs = rows // m
+    layers = []
+    offset = 0
+    for fi, fo in zip(model.layer_sizes[:-1], model.layer_sizes[1:]):
+        W = model.params[offset: offset + fi * fo].reshape(fi, fo)
+        b = model.params[offset + fi * fo: offset + fi * fo + fo]
+        layers.append((W, b, offset))
+        offset += fi * fo + fo
+    acts = [X]
+    h = X
+    for i, (W, b, _) in enumerate(layers):
+        h = h @ W
+        h += b
+        if i != len(layers) - 1:
+            np.maximum(h, 0.0, out=h)
+            acts.append(h)
+    h = h - h.max(axis=1, keepdims=True)
+    delta = np.exp(h)
+    sum_exp = delta.sum(axis=1)
+    picked = np.arange(rows), y
+    losses = -(h[picked] - np.log(sum_exp)).reshape(m, bs).mean(axis=1)
+    delta /= sum_exp[:, None]
+    delta[picked] -= 1.0
+    delta /= bs
+    G = np.empty((m, model.n_params))
+    for i in range(len(layers) - 1, -1, -1):
+        W, _, off = layers[i]
+        fi, fo = W.shape
+        a = acts[i]
+        d = delta.reshape(m, bs, fo)
+        gW = G[:, off: off + fi * fo].reshape(m, fi, fo)
+        np.matmul(a.reshape(m, bs, fi).transpose(0, 2, 1), d, out=gW)
+        d.sum(axis=1, out=G[:, off + fi * fo: off + fi * fo + fo])
+        if i > 0:
+            delta = (delta @ W.T) * (a > 0.0)
+    return losses, G
+
+
+class TestGroupSizes:
+    """``groups`` as a sequence of sizes: a training step's new-task batch
+    leads, at its own size, followed by the memories' equal groups."""
+
+    def test_leading_group_matches_single_group_passes(self):
+        rng = np.random.default_rng(515)
+        model = MlpModel([32, 100, 100, 3], seed=5)
+        for lead in (10, 7, 3):
+            for m in (1, 4, 19):
+                sizes = [lead] + [20] * m
+                batch = random_batch(rng, sum(sizes), 32, 3)
+                losses, G = model.loss_and_grad(batch, sizes)
+                assert losses.shape == (m + 1,)
+                assert G.shape == (m + 1, model.n_params) and G.flags.c_contiguous
+                bounds = np.cumsum([0] + sizes)
+                for k, (lo, hi) in enumerate(zip(bounds[:-1], bounds[1:])):
+                    loss_k, g_k = model.loss_and_grad(
+                        Batch(batch.inputs[lo:hi], batch.labels[lo:hi])
+                    )
+                    assert abs(losses[k] - loss_k) <= 1e-13 * abs(loss_k)
+                    assert np.abs(G[k] - g_k).max() <= 1e-13 * np.abs(g_k).max()
+
+    def test_equal_groups_keep_their_bits(self):
+        rng = np.random.default_rng(516)
+        for trial in range(20):
+            sizes = [32, 100, 100, 3] if trial % 2 == 0 else [
+                int(rng.integers(2, 9)) for _ in range(int(rng.integers(2, 5)))
+            ]
+            model = MlpModel(sizes, seed=int(rng.integers(1000)))
+            m, bs = int(rng.integers(1, 20)), int(rng.integers(1, 21))
+            batch = random_batch(rng, m * bs, sizes[0], sizes[-1])
+            ref_losses, ref_G = stacked_backprop(model, batch, m)
+            for groups in (m, [bs] * m):
+                losses, G = model.loss_and_grad(batch, groups)
+                assert losses.tobytes() == ref_losses.tobytes()
+                assert G.tobytes() == ref_G.tobytes()
+
+    @pytest.mark.parametrize(
+        "sizes",
+        [[3, 2, 1], [3, 4, 4], [3], [0, 3, 4], [3, 0, 4], [-1, 4, 4], [True, 3, 3],
+         [3, 2, True], [3.0, 2, 2], []],
+    )
+    def test_sizes_that_do_not_split_the_rows_rejected(self, sizes):
+        model = MlpModel([2, 3], seed=0)
+        batch = Batch(np.zeros((7, 2)), np.zeros(7, dtype=int))
+        out = np.full((len(sizes), model.n_params), 7.0)
+        with pytest.raises(ValueError, match="group sizes"):
+            model.loss_and_grad(batch, sizes, out=out)
+        assert (out == 7.0).all()
+
+    def test_out_of_range_label_in_the_leading_group_rejected(self):
+        model = MlpModel([2, 3], seed=0)
+        for label in (-1, 3):
+            batch = Batch(np.zeros((5, 2)), np.array([label, 0, 1, 2, 0]))
+            out = np.full((3, model.n_params), 7.0)
+            with pytest.raises(ValueError, match="labels"):
+                model.loss_and_grad(batch, [1, 2, 2], out=out)
+            assert (out == 7.0).all()
+
+    def test_non_finite_leading_group_rejected(self):
+        model = MlpModel([2, 3, 2], seed=0)
+        inputs = np.ones((5, 2))
+        inputs[0] = np.inf  # only the leading group overflows
+        with np.errstate(all="ignore"), pytest.raises(FloatingPointError):
+            model.loss_and_grad(Batch(inputs, np.zeros(5, dtype=int)), [1, 2, 2])
+
+
 class TestOutBuffer:
     """``loss_and_grad(..., out=buf)`` writes into ``buf`` and returns it."""
 

@@ -171,8 +171,10 @@ class TestTrainStep:
         assert [r["degenerate"] for r in records] == [False, None, True]
 
     def test_memory_gradients_come_from_one_stacked_pass(self, monkeypatch):
-        # one call for the new-task batch, one for all memories stacked;
-        # A-GEM asks for the mean gradient alone (no groups)
+        # one call per step: the new-task batch is the first group, then
+        # one group per memory; A-GEM reads the mean memory gradient alone,
+        # so its memories form one group.  Without memories, and for plain
+        # fine-tuning, the step makes one single-batch call.
         stream = make_stream(7)
         memories = [update_memory(stream.tasks[t].train, m=8, task_id=t) for t in range(3)]
         batch = Batch(stream.tasks[2].train.inputs[:6], stream.tasks[2].train.labels[:6])
@@ -185,10 +187,16 @@ class TestTrainStep:
             return real(self, batch, groups, out=out)
 
         monkeypatch.setattr(MlpModel, "loss_and_grad", counting)
-        for variant, groups in ((variant_ours(), 3), (variant_agem(), None)):
+        cases = (
+            (variant_ours(), memories, [(66, (6, 20, 20, 20))]),
+            (variant_agem(), memories, [(66, (6, 60))]),
+            (variant_ours(), [], [(6, None)]),
+            (variant_single(), memories, [(6, None)]),
+        )
+        for variant, stored, expected in cases:
             calls.clear()
-            train_step(model.clone(), batch, memories, variant, 0.1, *rngs())
-            assert calls == [(6, None), (60, groups)]
+            train_step(model.clone(), batch, stored, variant, 0.1, *rngs())
+            assert calls == expected
 
     def test_per_layer_baselines_apply_slice_wise_rules(self):
         from gradecomp import solver
