@@ -9,7 +9,9 @@ Verbs:
 
 The config is one optional JSON file; any key can be overridden on the
 command line as ``key.path=value`` (values are parsed as JSON, falling
-back to plain strings).  Overrides always win.  The ``model`` and
+back to plain strings).  Overrides always win; an object given for a
+section, such as ``data={"tasks": 3}``, merges into it as the file's
+sections do.  The ``model`` and
 ``train`` defaults are those of ``trainer.TrainConfig``, which also decides
 which ``seed``, ``seeds``, ``model`` and ``train`` values are valid;
 ``trainer.variant_from_name`` decides the variant names, ``pca_k`` and
@@ -123,41 +125,23 @@ class ConfigError(Exception):
         super().__init__(f"config key {key!r}: {message}")
 
 
-def _merge(base: dict, overlay: dict, prefix: str = "") -> dict:
-    out = copy.deepcopy(base)
-    for key, value in overlay.items():
-        path = f"{prefix}{key}"
-        if key not in base:
-            raise ConfigError(path, "unknown key")
-        if isinstance(base[key], dict) and base[key]:
-            if not isinstance(value, dict):
-                raise ConfigError(path, f"expected an object, got {type(value).__name__}")
-            out[key] = _merge(base[key], value, prefix=path + ".")
-        else:
-            out[key] = copy.deepcopy(value)
-    return out
-
-
-def _apply_override(config: dict, assignment: str) -> None:
-    if "=" not in assignment:
-        raise ConfigError(assignment, "override must look like key.path=value")
-    key_path, raw = assignment.split("=", 1)
-    try:
-        value = json.loads(raw)
-    except json.JSONDecodeError:
-        value = raw
+def _assign(config: dict, path: list[str], value) -> None:
+    """Set the key at ``path`` to a copy of ``value``.  A section given an
+    object takes its keys one by one, so a file (``path`` empty) and a
+    ``key.path=value`` override merge alike; a section given anything
+    else, or a key the defaults lack, raises ``ConfigError``."""
     node = config
-    parts = key_path.split(".")
-    for i, part in enumerate(parts[:-1]):
+    for i, part in enumerate(path):
         if not isinstance(node, dict) or part not in node:
-            raise ConfigError(".".join(parts[: i + 1]), "unknown key")
-        node = node[part]
-    leaf = parts[-1]
-    if not isinstance(node, dict) or leaf not in node:
-        raise ConfigError(key_path, "unknown key")
-    if isinstance(node[leaf], dict):
-        raise ConfigError(key_path, "cannot override a section with a scalar")
-    node[leaf] = value
+            raise ConfigError(".".join(path[: i + 1]), "unknown key")
+        parent, node = node, node[part]
+    if not isinstance(node, dict):
+        parent[path[-1]] = copy.deepcopy(value)
+    elif isinstance(value, dict):
+        for key, item in value.items():
+            _assign(config, [*path, key], item)
+    else:
+        raise ConfigError(".".join(path), f"expected an object, got {type(value).__name__}")
 
 
 def load_config(path: str | None, overrides: list[str]) -> dict:
@@ -179,9 +163,16 @@ def _load_config(path: str | None, overrides: list[str]):
             raise ConfigError("config", f"{path} is not valid JSON: {exc}") from exc
         if not isinstance(user, dict):
             raise ConfigError("config", "top level must be a JSON object")
-        config = _merge(config, user)
+        _assign(config, [], user)
     for assignment in overrides:
-        _apply_override(config, assignment)
+        if "=" not in assignment:
+            raise ConfigError(assignment, "override must look like key.path=value")
+        key_path, raw = assignment.split("=", 1)
+        try:
+            value = json.loads(raw)
+        except json.JSONDecodeError:
+            value = raw
+        _assign(config, key_path.split("."), value)
     return config, _validate(config)
 
 

@@ -1,11 +1,14 @@
 """Decompose replay-memory gradients into a shared component and
 per-memory specific components.
 
-Old-task gradients travel as one C-ordered ``(m, n)`` matrix ``G``, row
-``i`` the gradient of memory ``i`` in ascending task order, as
-:meth:`MlpModel.loss_and_grad` returns them for stacked memory batches;
-a list of ``n``-vectors is accepted too and stacked once.  ``G`` is the
-only stored form of the memory gradients.
+Old-task gradients travel as one C-ordered ``(m, n)`` matrix ``G`` with
+``m >= 1``, row ``i`` the gradient of memory ``i`` in ascending task
+order, as :meth:`MlpModel.loss_and_grad` returns them for stacked memory
+batches; a list of ``n``-vectors is accepted too and stacked once.
+``G`` is the only stored form of the memory gradients, and every update
+rule reads it: the per-memory QP (GEM) constrains against each row, the
+averaged constraint (A-GEM) against its one row, the mean memory
+gradient.  There is no bundle without old tasks.
 
 The shared component is the plain mean of the rows; each specific
 component is that task's deviation from the mean.  The ``(n, m)``
@@ -26,8 +29,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-
-from . import linalg
 
 
 def _as_matrix(old_grads) -> np.ndarray:
@@ -53,20 +54,12 @@ def shared_gradient(old_grads) -> np.ndarray:
 
 @dataclass
 class GradientBundle:
-    """New-task gradient plus the decomposed old-task gradients.
-
-    ``old_grads`` is the ``(m, n)`` matrix of memory gradients (``None``
-    becomes an empty ``(0, n)`` one); ``shared`` is ``None`` when there
-    are no old tasks yet.
-    """
+    """New-task gradient, the ``(m, n)`` matrix of memory gradients
+    (``m >= 1``) and ``shared``, the mean of its rows."""
 
     new_grad: np.ndarray
-    old_grads: np.ndarray | None = None
-    shared: np.ndarray | None = None
-
-    def __post_init__(self):
-        if self.old_grads is None:
-            self.old_grads = np.empty((0, self.dim))
+    old_grads: np.ndarray
+    shared: np.ndarray
 
     @property
     def dim(self) -> int:
@@ -79,9 +72,7 @@ class GradientBundle:
     @property
     def specific(self) -> np.ndarray:
         """The ``(n, m)`` specific matrix: column ``i`` is ``old_grads[i] -
-        shared``; ``(n, 0)`` when ``shared`` is ``None``."""
-        if self.shared is None:
-            return linalg.empty_basis(self.dim)
+        shared``."""
         return (self.old_grads - self.shared).T
 
 
@@ -89,14 +80,14 @@ def decompose(new_grad: np.ndarray, old_grads) -> GradientBundle:
     """Build a :class:`GradientBundle` from raw gradients.
 
     ``old_grads`` is the ``(m, n)`` memory-gradient matrix (or a list of
-    ``n``-vectors); it is kept as given when already a C-ordered float64
-    matrix.
+    ``n``-vectors) with ``m >= 1``; it is kept as given when already a
+    C-ordered float64 matrix.  Raises ``ValueError`` when it has no rows,
+    as :func:`shared_gradient` does, or when its width is not that of
+    ``new_grad``.
     """
     new_grad = np.asarray(new_grad, dtype=np.float64)
     if new_grad.ndim != 1:
         raise ValueError("new-task gradient must be a vector")
-    if len(old_grads) == 0:
-        return GradientBundle(new_grad=new_grad)
     G = _as_matrix(old_grads)
     if G.shape[1] != new_grad.shape[0]:
         raise ValueError(

@@ -97,44 +97,33 @@ def layerwise_solve(
 
     Each segment sees the new-task and shared gradients and the
     ``(m, n)`` old-task matrix restricted to that segment's coordinates:
-    one slice of each, the old-task one an ``(m, length)`` view.  A rule
+    one slice of each, the old-task one an ``(m, length)`` view, so every
+    segment's bundle has the same ``m >= 1`` memory rows.  A rule
     that reads the segment's specific matrix gets it from those two
     slices (the mean and the subtraction commute with slicing); one that
     overwrites ``old_grads`` writes only its segment's columns.  The
     per-segment updates are concatenated in layout order; the alignment
-    is summed and the branch is ``project_only`` only if every segment
-    projected.
+    is summed, the branch is ``project_only`` only if every segment
+    projected, and the step is degenerate if any segment was.
     """
-    if bundle.shared is None:
-        raise ValueError("bundle has no old-task gradients to constrain against")
     if bundle.dim != layout.total:
         raise ValueError(
             f"bundle dimension {bundle.dim} does not match layout total {layout.total}"
         )
-    w = np.empty(layout.total)
-    per_layer: list[tuple[str, UpdateResult]] = []
-    total_alignment = 0.0
-    all_project = True
-    any_degenerate = False
-    for seg, sl in zip(layout.segments, layout.slices()):
-        res = rule(
-            GradientBundle(
-                new_grad=bundle.new_grad[sl],
-                old_grads=bundle.old_grads[:, sl],
-                shared=bundle.shared[sl],
-            )
-        )
-        w[sl] = res.w
-        per_layer.append((seg.name, res))
-        total_alignment += res.shared_alignment
-        all_project = all_project and res.branch == PROJECT_ONLY
-        any_degenerate = any_degenerate or res.degenerate
+    results = [
+        rule(GradientBundle(bundle.new_grad[sl], bundle.old_grads[:, sl], bundle.shared[sl]))
+        for sl in layout.slices()
+    ]
     return UpdateResult(
-        w=w,
-        branch=PROJECT_ONLY if all_project else PROJECT_AND_REFLECT,
-        shared_alignment=total_alignment,
-        degenerate=any_degenerate,
-        per_layer=tuple(per_layer),
+        w=np.concatenate([res.w for res in results]),
+        branch=(
+            PROJECT_ONLY
+            if all(res.branch == PROJECT_ONLY for res in results)
+            else PROJECT_AND_REFLECT
+        ),
+        shared_alignment=sum(res.shared_alignment for res in results),
+        degenerate=any(res.degenerate for res in results),
+        per_layer=tuple(zip((seg.name for seg in layout.segments), results)),
     )
 
 
@@ -145,8 +134,6 @@ def predicted_loss_change(bundle: GradientBundle, res: UpdateResult) -> LossChan
     non-negative (the others are reflected to zero by construction); a
     whole-vector solve counts as one segment.
     """
-    if bundle.shared is None:
-        raise ValueError("bundle has no old-task gradients")
     delta = 0.0
     for _, seg_res in res.per_layer or (("all", res),):
         if seg_res.shared_alignment >= 0.0:

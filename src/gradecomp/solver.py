@@ -172,11 +172,8 @@ def decomposed_update(
     become their deviations ``G - shared``, which no later step of the
     rule reads, and no ``(m, n)`` array is made.  Otherwise
     ``old_grads`` is left as it is and the specific matrix is a new
-    array.  The update is the same bit for bit either way.  Raises
-    ``ValueError`` on a bundle with no old-task gradients.
+    array.  The update is the same bit for bit either way.
     """
-    if bundle.shared is None:
-        raise ValueError("bundle has no old-task gradients to constrain against")
     if overwrite:
         specific = np.subtract(bundle.old_grads, bundle.shared, out=bundle.old_grads).T
     else:

@@ -6,12 +6,13 @@ batch, and differentiates them all in one backprop: the new-task batch
 is the first group, at its own size, and each memory's batch a group
 after it.  Row 0 of the result is the new-task gradient and the rows
 below it the ``(m, n)`` memory-gradient matrix (row ``i + 1`` for
-memory ``i``) that every update rule reads as is.  The step then
-decomposes that matrix into shared and specific components, builds the
-constraint basis for the selected method, solves for the update (on the
-whole vector or per layer), and applies it.  The averaged constraint
-(A-GEM) reads only the mean memory gradient, so for it the memory rows
-form one group: the gradient of the mean loss over them is that mean,
+memory ``i``) that every update rule reads as is, with at least one
+row.  The step then decomposes that matrix into shared and specific
+components, builds the constraint basis for the selected method, solves
+for the update (on the whole vector or per layer), and applies it.  The
+averaged constraint (A-GEM) reads only the mean memory gradient, so for
+it the memory rows form one group: the gradient of the mean loss over
+them is that mean, the matrix's one row and the bundle's shared row,
 and no per-memory rows are formed.  With no stored memories (or for
 plain fine-tuning) the step differentiates the new-task batch alone and
 is one SGD step.  The gradients are written into a buffer that lives
@@ -272,9 +273,10 @@ def _solve_for_variant(
     sgem_rng: np.random.Generator,
     trace: StepTrace,
 ) -> np.ndarray:
-    """``old`` is the ``(m, n)`` memory-gradient matrix; for A-GEM it is
-    the mean memory gradient alone.  The decomposed rule overwrites it
-    with the specific matrix."""
+    """``old`` is the ``(m, n)`` memory-gradient matrix, ``m >= 1``; for
+    A-GEM it has one row, the mean memory gradient, which is also the
+    bundle's shared row.  The decomposed rule overwrites it with the
+    specific matrix."""
     if variant.kind == KIND_SGEM:
         return solver.sgem_update(g, old, sgem_rng)
 
@@ -282,10 +284,10 @@ def _solve_for_variant(
         bundle = decompose(g, old)
         rule = partial(solver.decomposed_update, k=variant.pca_k, overwrite=True)
     elif variant.kind == KIND_AGEM:
-        bundle = GradientBundle(new_grad=g, shared=old)
+        bundle = GradientBundle(g, old, old[0])
         rule = _agem_rule
     else:
-        bundle = GradientBundle(new_grad=g, old_grads=old, shared=shared_gradient(old))
+        bundle = GradientBundle(g, old, shared_gradient(old))
         rule = _gem_rule
     res = lw.layerwise_solve(bundle, model.layout, rule) if variant.lgu else rule(bundle)
 
@@ -332,7 +334,7 @@ def train_step(
         # the new-task batch is group 0; the averaged constraint (A-GEM)
         # reads only the mean memory gradient, which with equal-sized
         # memory batches is the gradient of the mean loss over all their
-        # rows, so for it they form one group and no per-memory rows
+        # rows, so for it they form one group: one row, not one per memory
         agem = variant.kind == KIND_AGEM
         memory_groups = (len(sampled),) if agem else (bs_old,) * len(memories)
         out = grads.take((1 + len(memory_groups), model.n_params))
@@ -341,7 +343,7 @@ def train_step(
         )
         trace.loss_new, g = float(losses[0]), G[0]
         trace.loss_mem_mean = float(losses[1:].sum() / len(memory_groups))
-        old = G[1] if agem else G[1:]
+        old = G[1:]
         start = time.perf_counter()
         w = _solve_for_variant(variant, model, g, old, sgem_rng, trace)
         trace.solver_seconds = time.perf_counter() - start

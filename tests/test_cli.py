@@ -84,6 +84,22 @@ class TestConfigHandling:
         assert config["train"]["eta"] == 0.05
         assert config["data"]["tasks"] == 4
 
+    def test_section_override_merges_as_the_file_does(self, tmp_path):
+        # an object for a section merges key by key, on the command line
+        # as in the file; a scalar for it is refused alike, naming it
+        path = write_config(tmp_path)
+        config = cli.load_config(path, ['data={"tasks": 3}'])
+        assert config["data"]["tasks"] == 3
+        assert config["data"]["dim"] == 6  # the file's value, kept
+        assert config["data"]["source"] == cli.DEFAULT_CONFIG["data"]["source"]
+        expected = "config key 'data': expected an object, got int"
+        with pytest.raises(cli.ConfigError) as err:
+            cli.load_config(path, ["data=5"])
+        assert str(err.value) == expected
+        with pytest.raises(cli.ConfigError) as err:
+            cli.load_config(write_config(tmp_path, data=5), [])
+        assert str(err.value) == expected
+
     def test_override_unknown_key_rejected(self, tmp_path):
         path = write_config(tmp_path)
         with pytest.raises(cli.ConfigError) as err:

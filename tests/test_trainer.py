@@ -199,6 +199,9 @@ class TestTrainStep:
             assert calls == expected
 
     def test_per_layer_baselines_apply_slice_wise_rules(self):
+        # the expected updates come from the step's own fused pass (the
+        # new-task batch as group 0, then the memory rows) and read the
+        # same [:, sl] views of it the trainer passes to each segment
         from gradecomp import solver
         from gradecomp.decomp import shared_gradient
         from gradecomp.memory import sample_memory_batch
@@ -208,30 +211,67 @@ class TestTrainStep:
         batch = Batch(stream.tasks[2].train.inputs[:6], stream.tasks[2].train.labels[:6])
         model = MlpModel([8, 6, 3], seed=8)
         slices = model.layout.slices()
-        _, g = model.loss_and_grad(batch)
         mem_rng = np.random.default_rng(1000)  # the memory stream of rngs()
-        sampled = [sample_memory_batch([m], 20, mem_rng) for m in memories]
-        old = [model.loss_and_grad(b)[1] for b in sampled]
+        sampled = sample_memory_batch(memories, 20, mem_rng)
         stacked = Batch(
-            np.concatenate([b.inputs for b in sampled]),
-            np.concatenate([b.labels for b in sampled]),
+            np.concatenate((batch.inputs, sampled.inputs)),
+            np.concatenate((batch.labels, sampled.labels)),
         )
-        # A-GEM's mean memory gradient: that of the mean loss over all rows
-        g_bars = {"agem": model.loss_and_grad(stacked)[1], "gem": shared_gradient(old)}
-        expected = {
-            "agem": [solver.agem_update(g[sl], g_bars["agem"][sl]) for sl in slices],
-            "gem": [solver.gem_qp_update(g[sl], [o[sl] for o in old]) for sl in slices],
+        # GEM reads one row per memory; A-GEM one row, the mean memory gradient
+        G = {
+            "gem": model.loss_and_grad(stacked, (6, 20, 20))[1],
+            "agem": model.loss_and_grad(stacked, (6, 40))[1],
         }
+        expected = {
+            "agem": [solver.agem_update(G["agem"][0, sl], G["agem"][1, sl]) for sl in slices],
+            "gem": [solver.gem_qp_update(G["gem"][0, sl], G["gem"][1:, sl]) for sl in slices],
+        }
+        g_bars = {"agem": G["agem"][1], "gem": shared_gradient(G["gem"][1:])}
         for variant in (variant_agem(lgu=True), trainer.variant_gem(lgu=True)):
             stepped, reference = model.clone(), model.clone()
             trace = train_step(stepped, batch, memories, variant, 0.1, *rngs())
             reference.apply_update(np.concatenate(expected[variant.kind]), 0.1)
             assert np.array_equal(stepped.params, reference.params)
             assert trace.branch is not None
-            g_bar = g_bars[variant.kind]
+            g, g_bar = G[variant.kind][0], g_bars[variant.kind]
             assert trace.per_layer_alignments == tuple(
                 float(g_bar[sl] @ g[sl]) for sl in slices
             )
+
+    @pytest.mark.parametrize("name", ["b", "c", "d", "f", "gem", "gem+lgu"])
+    def test_every_rule_reads_a_complete_bundle(self, monkeypatch, name):
+        # every bundle, whole-vector or one segment's, holds at least one
+        # memory row and a shared row; A-GEM's one row is its shared row
+        from gradecomp import solver
+
+        stream = make_stream(7)
+        memories = [update_memory(stream.tasks[t].train, m=8, task_id=t) for t in range(3)]
+        batch = Batch(stream.tasks[2].train.inputs[:6], stream.tasks[2].train.labels[:6])
+        model = MlpModel([8, 6, 3], seed=8)
+        variant = variant_from_name(name)
+        seen = []
+
+        def recording(rule):
+            def wrapped(bundle, *args, **kwargs):
+                seen.append(
+                    (bundle.dim, bundle.old_grads.shape, bundle.shared.shape,
+                     np.array_equal(bundle.old_grads[:1], bundle.shared[None]))
+                )
+                return rule(bundle, *args, **kwargs)
+            return wrapped
+
+        for owner, attr in (
+            (trainer, "_agem_rule"), (trainer, "_gem_rule"), (solver, "decomposed_update")
+        ):
+            monkeypatch.setattr(owner, attr, recording(getattr(owner, attr)))
+        train_step(model, batch, memories, variant, 0.1, *rngs())
+        n_rows = 1 if variant.kind == "agem" else len(memories)
+        assert len(seen) == (len(model.layout.segments) if variant.lgu else 1)
+        for dim, old_shape, shared_shape, first_row_is_shared in seen:
+            assert old_shape == (n_rows, dim)
+            assert shared_shape == (dim,)
+            if variant.kind == "agem":
+                assert first_row_is_shared
 
 
 class TestTrainSequence:
